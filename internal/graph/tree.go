@@ -47,7 +47,9 @@ func NewTree(n int, edges [][2]int) (*Tree, error) {
 	if len(edges) != n-1 {
 		return nil, fmt.Errorf("graph: want %d edges for %d vertices, got %d: %w", n-1, n, len(edges), ErrNotATree)
 	}
-	adj := make([][]int32, n)
+	// The adjacency lists are cut from one slab, each capped at its
+	// vertex's degree and filled in edge order.
+	off := make([]int32, n+1)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -56,6 +58,19 @@ func NewTree(n int, edges [][2]int) (*Tree, error) {
 		if u == v {
 			return nil, fmt.Errorf("graph: self-loop at %d: %w", u, ErrNotATree)
 		}
+		off[u+1]++
+		off[v+1]++
+	}
+	slab := make([]int32, 2*len(edges))
+	adj := make([][]int32, n)
+	for v := range adj {
+		off[v+1] += off[v]
+		if off[v] < off[v+1] {
+			adj[v] = slab[off[v]:off[v]:off[v+1]]
+		}
+	}
+	for _, e := range edges {
+		u, v := e[0], e[1]
 		adj[u] = append(adj[u], int32(v))
 		adj[v] = append(adj[v], int32(u))
 	}

@@ -10,6 +10,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"treesched/internal/graph"
 )
@@ -147,6 +148,11 @@ func (p *Problem) Validate() error {
 				return fmt.Errorf("instance: capacity row %d has %d entries, want %d", q, len(row), p.edgesPerNetwork())
 			}
 			for e, c := range row {
+				// A non-finite value has no wire form, even in an
+				// ignored slot.
+				if math.IsNaN(c) || math.IsInf(c, 0) {
+					return fmt.Errorf("instance: non-finite capacity %g at network %d edge %d", c, q, e)
+				}
 				// Tree edge ids are child endpoints 1..n-1; slot 0 is the
 				// root's nonexistent parent edge and is ignored.
 				if p.Kind == KindTree && e == 0 {
@@ -175,10 +181,14 @@ func (p *Problem) Validate() error {
 // since removal and renumbering cannot invalidate a surviving demand.
 func (p *Problem) ValidateDemand(i int, d Demand) error {
 	r := p.NumNetworks()
+	if math.IsNaN(d.Profit) || math.IsInf(d.Profit, 0) {
+		return fmt.Errorf("instance: demand %d has non-finite profit %g", i, d.Profit)
+	}
 	if d.Profit <= 0 {
 		return fmt.Errorf("instance: demand %d has non-positive profit %g", i, d.Profit)
 	}
-	if d.Height <= 0 || d.Height > 1 {
+	// Written so that NaN fails it too.
+	if !(d.Height > 0 && d.Height <= 1) {
 		return fmt.Errorf("instance: demand %d has height %g outside (0,1]", i, d.Height)
 	}
 	if len(d.Access) == 0 {

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -94,6 +95,60 @@ func TestValidateRejections(t *testing.T) {
 	lp.Demands[0] = Demand{ID: 0, Release: 5, Deadline: 2, ProcTime: 1, Profit: 1, Height: 1, Access: []int{0}}
 	if err := lp.Validate(); err == nil {
 		t.Error("inverted window accepted")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN compares false with every bound, so
+// each field's check must reject it (and ±Inf) explicitly — in Validate
+// and in ValidateDemand, which incremental rebuilds call alone.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	demandCases := map[string]func(*Demand){
+		"NaN profit":  func(d *Demand) { d.Profit = nan },
+		"+Inf profit": func(d *Demand) { d.Profit = inf },
+		"-Inf profit": func(d *Demand) { d.Profit = -inf },
+		"NaN height":  func(d *Demand) { d.Height = nan },
+		"+Inf height": func(d *Demand) { d.Height = inf },
+	}
+	for name, mutate := range demandCases {
+		t.Run(name, func(t *testing.T) {
+			for _, p := range []*Problem{smallTreeProblem(t), smallLineProblem(t)} {
+				mutate(&p.Demands[0])
+				if err := p.Validate(); err == nil {
+					t.Errorf("%v problem: Validate accepted it", p.Kind)
+				}
+				if err := p.ValidateDemand(0, p.Demands[0]); err == nil {
+					t.Errorf("%v problem: ValidateDemand accepted it", p.Kind)
+				}
+			}
+		})
+	}
+	capCases := map[string]float64{"NaN capacity": nan, "+Inf capacity": inf, "-Inf capacity": -inf}
+	for name, c := range capCases {
+		t.Run(name, func(t *testing.T) {
+			tp := smallTreeProblem(t)
+			tp.Capacities = [][]float64{{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1}}
+			tp.Capacities[1][3] = c
+			if err := tp.Validate(); err == nil {
+				t.Error("tree problem: accepted")
+			}
+			// Slot 0 of a tree row is ignored, but still has to encode.
+			tp.Capacities[1][3], tp.Capacities[0][0] = 1, c
+			if err := tp.Validate(); err == nil {
+				t.Error("tree problem, ignored slot 0: accepted")
+			}
+			lp := smallLineProblem(t)
+			lp.Capacities = [][]float64{make([]float64, 12), make([]float64, 12)}
+			for q := range lp.Capacities {
+				for e := range lp.Capacities[q] {
+					lp.Capacities[q][e] = 1
+				}
+			}
+			lp.Capacities[0][11] = c
+			if err := lp.Validate(); err == nil {
+				t.Error("line problem: accepted")
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-package instance
+package instance_test
 
 import (
 	"bytes"
@@ -9,11 +9,12 @@ import (
 	"testing"
 
 	"treesched/internal/graph"
+	"treesched/internal/instance"
 )
 
 // capTreeProblem builds a two-tree problem with distinct non-uniform
 // per-edge capacities on every edge of every network.
-func capTreeProblem(t *testing.T) *Problem {
+func capTreeProblem(t *testing.T) *instance.Problem {
 	t.Helper()
 	t1, err := graph.NewTree(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	if err != nil {
@@ -23,8 +24,8 @@ func capTreeProblem(t *testing.T) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Problem{
-		Kind:        KindTree,
+	return &instance.Problem{
+		Kind:        instance.KindTree,
 		NumVertices: 5,
 		Trees:       []*graph.Tree{t1, t2},
 		Capacities: [][]float64{
@@ -32,7 +33,7 @@ func capTreeProblem(t *testing.T) *Problem {
 			{0, 1.25, 0.75, 2.5, 1.0},
 			{0, 0.5, 3.125, 1.5, 2.0},
 		},
-		Demands: []Demand{
+		Demands: []instance.Demand{
 			{ID: 0, U: 0, V: 4, Profit: 3, Height: 0.5, Access: []int{0, 1}},
 			{ID: 1, U: 2, V: 3, Profit: 2, Height: 0.25, Access: []int{1}},
 		},
@@ -40,16 +41,16 @@ func capTreeProblem(t *testing.T) *Problem {
 }
 
 // capLineProblem builds a line problem with per-slot capacities.
-func capLineProblem() *Problem {
-	return &Problem{
-		Kind:         KindLine,
+func capLineProblem() *instance.Problem {
+	return &instance.Problem{
+		Kind:         instance.KindLine,
 		NumSlots:     6,
 		NumResources: 2,
 		Capacities: [][]float64{
 			{1.5, 2.0, 0.875, 1.0, 3.0, 1.25},
 			{0.625, 1.0, 2.25, 1.75, 0.5, 2.5},
 		},
-		Demands: []Demand{
+		Demands: []instance.Demand{
 			{ID: 0, Release: 0, Deadline: 3, ProcTime: 2, Profit: 5, Height: 0.4, Access: []int{0}},
 			{ID: 1, Release: 2, Deadline: 5, ProcTime: 3, Profit: 4, Height: 0.3, Access: []int{0, 1}},
 		},
@@ -60,12 +61,12 @@ func capLineProblem() *Problem {
 // every per-edge capacity exactly, and Capacity lookups must agree
 // before and after a round trip.
 func TestJSONRoundTripNonUniformCapacities(t *testing.T) {
-	for _, p := range []*Problem{capTreeProblem(t), capLineProblem()} {
+	for _, p := range []*instance.Problem{capTreeProblem(t), capLineProblem()} {
 		data, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var q Problem
+		var q instance.Problem
 		if err := json.Unmarshal(data, &q); err != nil {
 			t.Fatal(err)
 		}
@@ -91,12 +92,12 @@ func TestJSONRoundTripNonUniformCapacities(t *testing.T) {
 // byte-identical to marshal(p) — the canonical-hash property the
 // serving layer's cache keys rely on.
 func TestJSONRoundTripIdempotent(t *testing.T) {
-	for _, p := range []*Problem{capTreeProblem(t), capLineProblem()} {
+	for _, p := range []*instance.Problem{capTreeProblem(t), capLineProblem()} {
 		first, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var q Problem
+		var q instance.Problem
 		if err := json.Unmarshal(first, &q); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestJSONRejectsBadCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var q Problem
+	var q instance.Problem
 	if err := json.Unmarshal(data, &q); err == nil {
 		t.Fatal("accepted a negative capacity")
 	}
@@ -140,7 +141,7 @@ func TestJSONRandomizedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(6)
-		p := &Problem{Kind: KindLine, NumSlots: n, NumResources: 1 + rng.Intn(3)}
+		p := &instance.Problem{Kind: instance.KindLine, NumSlots: n, NumResources: 1 + rng.Intn(3)}
 		p.Capacities = make([][]float64, p.NumResources)
 		for q := range p.Capacities {
 			p.Capacities[q] = make([]float64, n)
@@ -151,7 +152,7 @@ func TestJSONRandomizedRoundTrip(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			rho := 1 + rng.Intn(n)
 			rt := rng.Intn(n - rho + 1)
-			p.Demands = append(p.Demands, Demand{
+			p.Demands = append(p.Demands, instance.Demand{
 				ID: i, Release: rt, Deadline: rt + rho - 1 + rng.Intn(n-rt-rho+1), ProcTime: rho,
 				Profit: 1 + rng.Float64()*9, Height: 0.1 + rng.Float64()*0.9,
 				Access: []int{rng.Intn(p.NumResources)},
@@ -164,7 +165,7 @@ func TestJSONRandomizedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var q Problem
+		var q instance.Problem
 		if err := json.Unmarshal(data, &q); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,6 +80,10 @@ func (e *Engine) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 // maxRequestBytes bounds one /solve body or one /batch line.
 const maxRequestBytes = 32 << 20
 
+// initialRequestBuf caps the body buffer readRequest allocates up front
+// from Content-Length, which the client controls.
+const initialRequestBuf = 64 << 10
+
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -98,11 +103,31 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// readRequest reads the whole request body, bounded by maxRequestBytes,
+// and decodes it as exactly one JSON value into v, so trailing data is
+// an error rather than silently dropped. The buffer is sized from
+// Content-Length up to initialRequestBuf; past that it grows only as
+// bytes arrive, so a header alone cannot make the server allocate.
+func readRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	// ReadFrom keeps MinRead bytes free for the Read that sees EOF.
+	size := int64(bytes.MinRead)
+	if r.ContentLength > 0 {
+		size += min(r.ContentLength, initialRequestBuf)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
+}
+
 func (e *Engine) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
+	if err := readRequest(w, r, &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	resp, err := e.Solve(r.Context(), &req)
@@ -220,9 +245,8 @@ func sessionStatus(err error) int {
 
 func (e *Engine) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
+	if err := readRequest(w, r, &req); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	info, err := e.OpenSession(&req)

@@ -14,9 +14,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +99,11 @@ func TestSessionEventsErrorPaths(t *testing.T) {
 
 	status, body := postJSON(t, srv.URL+"/session/nope/events", `{"op":"resolve"}`)
 	wantJSONError(t, "unknown session", status, http.StatusNotFound, body)
+
+	// Trailing data after the open request is one 400, not ignored.
+	status, body = postJSON(t, srv.URL+"/session",
+		`{"algo":"tree-unit","scenario":"caterpillar-backbone","scenario_seed":1} {}`)
+	wantJSONError(t, "session open with trailing data", status, http.StatusBadRequest, body)
 
 	// A real session for the remaining cases.
 	status, body = postJSON(t, srv.URL+"/session",
@@ -244,9 +252,63 @@ func TestSolveErrorSingleDocument(t *testing.T) {
 	for _, body := range []string{
 		`{"algo":"quantum","scenario":"sensor-tree"}`,
 		`{`,
+		// Trailing data after the request is an error, not ignored.
+		`{"algo":"greedy","scenario":"videowall-line"} {"algo":"nope"} garbage`,
+		`{"algo":"greedy","scenario":"videowall-line"}}`,
 		fmt.Sprintf(`{"algo":"tree-unit","scenario":"line-100k","scenario_params":{"demands":%d}}`, 2_000_000),
 	} {
 		status, resp := postJSON(t, srv.URL+"/solve", body)
 		wantJSONError(t, body[:min(len(body), 40)], status, http.StatusBadRequest, resp)
 	}
+}
+
+// TestReadRequestIgnoresLargeContentLength: the body buffer is sized
+// from Content-Length only up to initialRequestBuf, so a client that
+// declares a near-limit body and sends a short one makes the server
+// allocate for what arrives, not for what was announced.
+func TestReadRequestIgnoresLargeContentLength(t *testing.T) {
+	const body = `{"algo":"greedy","scenario":"videowall-line"}`
+	r := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body))
+	r.ContentLength = maxRequestBytes - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req Request
+	err := readRequest(httptest.NewRecorder(), r, &req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Algo != "greedy" || req.Scenario != "videowall-line" {
+		t.Fatalf("decoded %+v", req)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("readRequest allocated %d bytes for a %d-byte body", n, len(body))
+	}
+}
+
+// TestSolveShortBodyIsBadRequest: over the wire, a body shorter than
+// its Content-Length is one 400 with a JSON error once the client stops
+// sending.
+func TestSolveShortBodyIsBadRequest(t *testing.T) {
+	srv := newStrictServer(t)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{\"algo\":", maxRequestBytes-1)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSONError(t, "short body", resp.StatusCode, http.StatusBadRequest, data)
+	srv.assertCleanLog(t)
 }

@@ -462,15 +462,31 @@ func (e *Engine) problemSource(req *Request) (hash string, materialize func() (*
 	}
 }
 
+// wireBufs recycles hashProblem's encoding buffers.
+var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledWire caps the buffers wireBufs keeps, so one huge problem
+// does not pin its encoding in the pool.
+const maxPooledWire = 1 << 20
+
 // hashProblem returns the canonical problem hash: SHA-256 over the
-// deterministic JSON wire form (trees as edge lists, demands in order).
+// problem's canonical wire form (Problem.AppendWire: trees as edge
+// lists rooted at 0, demands in order).
 func hashProblem(p *instance.Problem) (string, error) {
-	data, err := json.Marshal(p)
+	buf := wireBufs.Get().(*[]byte)
+	data, err := p.AppendWire((*buf)[:0])
 	if err != nil {
+		wireBufs.Put(buf)
 		return "", err
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	if cap(data) <= maxPooledWire {
+		*buf = data
+		wireBufs.Put(buf)
+	}
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }
 
 // keyOptions normalizes request options for the memoization key so
