@@ -22,87 +22,72 @@ type Graph struct {
 	Adj [][]int32
 }
 
-// Implicit is a clique cover of the conflict graph stored in CSR form:
-// the members of each demand form a clique, and the instances active on
-// each edge form a clique. Every conflict edge is covered by at least one
-// clique.
+// Implicit is a clique cover of the conflict graph read in place from a
+// compiled model — the model's indexes already are the cliques, so the
+// cover copies nothing and costs nothing to build. Clique a <
+// NumDemands is demand a's instances (InstsOf row a); clique
+// NumDemands+e is the instances whose path contains edge e (EdgeInsts
+// row e). Instance i lies in clique Demand(i) and in clique
+// NumDemands+e for every e in Path(i). Every conflict edge is covered by
+// at least one clique; cliques of size < 2 cover none, but they are
+// harmless to aggregation (a singleton is its own minimum and excludes
+// no one).
 type Implicit struct {
-	N int
-	// Cliques row k lists the members of clique k; demand cliques come
-	// first, then edge cliques. Cliques of size < 2 are omitted.
-	Cliques model.CSR
-	// CliquesOf row i lists the clique ids containing instance i,
-	// ascending.
-	CliquesOf model.CSR
+	m *model.Model
 }
 
-// BuildImplicit constructs the clique cover from a compiled model. The
-// member lists are copied out of the model's InstsOf/EdgeInsts indexes
-// into two flat arrays — the cover itself adds four allocations total.
-func BuildImplicit(m *model.Model) *Implicit {
-	im := &Implicit{N: len(m.Insts)}
-	nc, total := 0, 0
-	for a := 0; a < m.InstsOf.Rows(); a++ {
-		if l := m.InstsOf.RowLen(int32(a)); l >= 2 {
-			nc++
-			total += l
-		}
-	}
-	for e := 0; e < m.EdgeInsts.Rows(); e++ {
-		if l := m.EdgeInsts.RowLen(int32(e)); l >= 2 {
-			nc++
-			total += l
-		}
-	}
-	im.Cliques = model.CSR{
-		Off:  make([]int32, 1, nc+1),
-		Data: make([]int32, 0, total),
-	}
-	appendClique := func(members []int32) {
-		if len(members) >= 2 {
-			im.Cliques.Data = append(im.Cliques.Data, members...)
-			im.Cliques.Off = append(im.Cliques.Off, int32(len(im.Cliques.Data)))
-		}
-	}
-	for a := 0; a < m.InstsOf.Rows(); a++ {
-		appendClique(m.InstsOf.Row(int32(a)))
-	}
-	for e := 0; e < m.EdgeInsts.Rows(); e++ {
-		appendClique(m.EdgeInsts.Row(int32(e)))
-	}
-	im.CliquesOf = model.InvertCSR(&im.Cliques, im.N)
-	return im
-}
+// Cover returns the model-backed clique cover of m.
+func Cover(m *model.Model) Implicit { return Implicit{m: m} }
 
-// Clique returns the members of clique id k (demand cliques first).
-func (im *Implicit) Clique(k int32) []int32 {
-	return im.Cliques.Row(k)
-}
+// N returns the vertex (instance) count.
+func (im Implicit) N() int { return len(im.m.Insts) }
 
-// NumCliques returns the total clique count.
-func (im *Implicit) NumCliques() int {
-	return im.Cliques.Rows()
+// NumDemands is the id of the first edge clique.
+func (im Implicit) NumDemands() int32 { return int32(im.m.NumDemands) }
+
+// NumCliques returns the total clique count, NumDemands + EdgeSpace.
+func (im Implicit) NumCliques() int { return im.m.NumDemands + im.m.EdgeSpace }
+
+// Demand returns the id of instance i's demand clique.
+func (im Implicit) Demand(i int32) int32 { return im.m.Insts[i].Demand }
+
+// Path returns the edges of instance i's path; instance i lies in edge
+// clique NumDemands+e for each of them.
+func (im Implicit) Path(i int32) []int32 { return im.m.Paths.Row(i) }
+
+// Clique returns the members of clique id k (demand cliques first),
+// ascending.
+func (im Implicit) Clique(k int32) []int32 {
+	if nd := im.NumDemands(); k >= nd {
+		return im.m.EdgeInsts.Row(k - nd)
+	}
+	return im.m.InstsOf.Row(k)
 }
 
 // Build materializes the explicit conflict graph from the clique cover.
 // Instances active on a common edge form cliques, so the output can be
 // quadratic in clique sizes; prefer Implicit for large inputs.
 func Build(m *model.Model) *Graph {
-	im := BuildImplicit(m)
-	g := &Graph{N: im.N, Adj: make([][]int32, im.N)}
-	seen := make([]int32, im.N)
+	im := Cover(m)
+	g := &Graph{N: im.N(), Adj: make([][]int32, im.N())}
+	seen := make([]int32, im.N())
 	for i := range seen {
 		seen[i] = -1
 	}
-	for i := int32(0); int(i) < im.N; i++ {
+	nd := im.NumDemands()
+	for i := int32(0); int(i) < g.N; i++ {
 		seen[i] = i
-		for _, k := range im.CliquesOf.Row(i) {
+		add := func(k int32) {
 			for _, j := range im.Clique(k) {
 				if seen[j] != i {
 					seen[j] = i
 					g.Adj[i] = append(g.Adj[i], j)
 				}
 			}
+		}
+		add(im.Demand(i))
+		for _, e := range im.Path(i) {
+			add(nd + e)
 		}
 	}
 	return g

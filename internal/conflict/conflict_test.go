@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treesched/internal/gen"
@@ -38,48 +39,53 @@ func TestExplicitMatchesPairwisePredicate(t *testing.T) {
 	}
 }
 
+// TestImplicitCoversAllConflicts checks the model-backed cover on tree
+// and line models: the union of its cliques is exactly the conflict
+// relation (every conflicting pair shares a clique, and no clique joins
+// a non-conflicting pair), and the cliques each instance is read from —
+// its demand's and its path edges' — contain it.
 func TestImplicitCoversAllConflicts(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		m := buildModel(t, seed, true)
-		im := BuildImplicit(m)
-		// Union of cliques = conflict relation.
-		adj := make([]map[int32]bool, im.N)
-		for i := range adj {
-			adj[i] = map[int32]bool{}
-		}
-		for k := int32(0); int(k) < im.NumCliques(); k++ {
-			members := im.Clique(k)
-			for _, i := range members {
-				for _, j := range members {
-					if i != j {
-						adj[i][j] = true
+		for _, tree := range []bool{true, false} {
+			m := buildModel(t, seed, tree)
+			im := Cover(m)
+			if im.N() != len(m.Insts) || im.NumCliques() != m.NumDemands+m.EdgeSpace {
+				t.Fatalf("seed %d tree=%v: cover sized %d/%d", seed, tree, im.N(), im.NumCliques())
+			}
+			adj := make([]map[int32]bool, im.N())
+			for i := range adj {
+				adj[i] = map[int32]bool{}
+			}
+			for k := int32(0); int(k) < im.NumCliques(); k++ {
+				members := im.Clique(k)
+				for _, i := range members {
+					for _, j := range members {
+						if i != j {
+							adj[i][j] = true
+						}
 					}
 				}
 			}
-		}
-		for i := int32(0); int(i) < im.N; i++ {
-			for j := int32(0); int(j) < im.N; j++ {
-				if i == j {
-					continue
-				}
-				if adj[i][j] != m.Conflict(i, j) {
-					t.Fatalf("seed %d: clique cover edge (%d,%d)=%v, model says %v",
-						seed, i, j, adj[i][j], m.Conflict(i, j))
-				}
-			}
-		}
-		// CliquesOf must be the exact inverse of Clique membership.
-		for i := int32(0); int(i) < im.N; i++ {
-			for _, k := range im.CliquesOf.Row(i) {
-				found := false
-				for _, j := range im.Clique(k) {
-					if j == i {
-						found = true
-						break
+			for i := int32(0); int(i) < im.N(); i++ {
+				for j := int32(0); int(j) < im.N(); j++ {
+					if i == j {
+						continue
+					}
+					if adj[i][j] != m.Conflict(i, j) {
+						t.Fatalf("seed %d tree=%v: clique cover edge (%d,%d)=%v, model says %v",
+							seed, tree, i, j, adj[i][j], m.Conflict(i, j))
 					}
 				}
-				if !found {
-					t.Fatalf("CliquesOf[%d] lists clique %d that does not contain it", i, k)
+			}
+			for i := int32(0); int(i) < im.N(); i++ {
+				ks := []int32{im.Demand(i)}
+				for _, e := range im.Path(i) {
+					ks = append(ks, im.NumDemands()+e)
+				}
+				for _, k := range ks {
+					if !slices.Contains(im.Clique(k), i) {
+						t.Fatalf("seed %d tree=%v: instance %d is read from clique %d that does not contain it", seed, tree, i, k)
+					}
 				}
 			}
 		}

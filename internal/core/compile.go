@@ -23,34 +23,25 @@ import (
 // All models reachable from a Compiled are immutable after construction,
 // so a single Compiled may serve concurrent solves.
 
-// solverModel couples a compiled model with its lazily built MIS routine
-// — so repeated solves skip conflict-structure construction (the explicit
-// conflict graph is the quadratic part of compilation) — and a pool of
-// solve scratches, so a warm solve reuses duals, active flags, stacks and
-// MIS buffers instead of reallocating them (see solveScratch).
+// solverModel couples a compiled model with a pool of solve scratches,
+// so a warm solve reuses duals, active flags, stacks and MIS buffers
+// instead of reallocating them (see solveScratch). The conflict clique
+// cover is the model itself (conflict.Cover), so there is nothing else
+// to build per model.
 type solverModel struct {
-	m        *model.Model
-	stats    model.BuildStats // per-phase build cost of m (zero for copies)
-	once     sync.Once
-	mis      misFunc
-	ncliques int
-	pool     sync.Pool // *solveScratch
-}
-
-func (sm *solverModel) misFn() misFunc {
-	sm.once.Do(func() { sm.mis, sm.ncliques = newMISFunc(sm.m) })
-	return sm.mis
+	m     *model.Model
+	stats model.BuildStats // per-phase build cost of m (zero for copies)
+	pool  sync.Pool        // *solveScratch
 }
 
 // acquire returns a scratch sized for this model, reusing a pooled one
 // when available. release returns it after the solve has finished with
 // every scratch-aliased value (duals, stack, selection).
 func (sm *solverModel) acquire() *solveScratch {
-	sm.misFn() // ensure ncliques is resolved
 	if v := sm.pool.Get(); v != nil {
 		return v.(*solveScratch)
 	}
-	return newSolveScratch(sm.m, sm.ncliques)
+	return newSolveScratch(sm.m)
 }
 
 func (sm *solverModel) release(sc *solveScratch) { sm.pool.Put(sc) }
@@ -358,9 +349,10 @@ func (c *Compiled) seqHint() []*treedecomp.Decomposition {
 // When the full model of c has been built and the delta is below the
 // churn threshold, the new model is rebuilt incrementally
 // (model.WithDelta): rows of surviving demands are copied, only added
-// demands pay tree walks and path materialization, the conflict clique
-// cover is repacked from the rebuilt indexes, and a pooled solver
-// scratch migrates from c so the re-solve allocates like a warm solve.
+// demands pay tree walks and path materialization (the rebuilt indexes
+// are the conflict clique cover, so nothing else is rebuilt), and a
+// pooled solver scratch migrates from c so the re-solve allocates like
+// a warm solve.
 // Past the threshold — or when c was never solved — it falls back to a
 // full recompile that still reuses the tree decompositions. Either way
 // the result is indistinguishable from Compile on the effective problem:

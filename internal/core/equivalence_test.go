@@ -225,18 +225,54 @@ var entryPoints = []struct {
 	name string
 	run  func(c *Compiled, opts Options) (*Result, *DistributedResult, error)
 }{
-	{"tree-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.TreeUnit(o); return r, nil, err }},
-	{"line-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.LineUnit(o); return r, nil, err }},
-	{"narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.NarrowOnly(o); return r, nil, err }},
-	{"arbitrary", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Arbitrary(o); return r, nil, err }},
-	{"sequential", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Sequential(o); return r, nil, err }},
-	{"seq-line", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.SequentialLine(o); return r, nil, err }},
-	{"greedy", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Greedy(); return r, nil, err }},
-	{"exact", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.Exact(500_000); return r, nil, err }},
-	{"ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { r, err := c.PanconesiSozioUnit(o); return r, nil, err }},
-	{"dist-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedUnit(o); return resOf(d), d, err }},
-	{"dist-narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedNarrow(o); return resOf(d), d, err }},
-	{"dist-ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) { d, err := c.DistributedPanconesiSozio(o); return resOf(d), d, err }},
+	{"tree-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.TreeUnit(o)
+		return r, nil, err
+	}},
+	{"line-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.LineUnit(o)
+		return r, nil, err
+	}},
+	{"narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.NarrowOnly(o)
+		return r, nil, err
+	}},
+	{"arbitrary", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.Arbitrary(o)
+		return r, nil, err
+	}},
+	{"sequential", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.Sequential(o)
+		return r, nil, err
+	}},
+	{"seq-line", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.SequentialLine(o)
+		return r, nil, err
+	}},
+	{"greedy", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.Greedy()
+		return r, nil, err
+	}},
+	{"exact", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.Exact(500_000)
+		return r, nil, err
+	}},
+	{"ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		r, err := c.PanconesiSozioUnit(o)
+		return r, nil, err
+	}},
+	{"dist-unit", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		d, err := c.DistributedUnit(o)
+		return resOf(d), d, err
+	}},
+	{"dist-narrow", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		d, err := c.DistributedNarrow(o)
+		return resOf(d), d, err
+	}},
+	{"dist-ps", func(c *Compiled, o Options) (*Result, *DistributedResult, error) {
+		d, err := c.DistributedPanconesiSozio(o)
+		return resOf(d), d, err
+	}},
 }
 
 func resOf(d *DistributedResult) *Result {

@@ -80,9 +80,10 @@ func NewSchedule(m *model.Model, xi, eps float64) Schedule {
 		b++
 	}
 	s := Schedule{
-		Epochs: m.NumGroups,
-		Stages: b,
-		Xi:     xi,
+		Epochs:     m.NumGroups,
+		Stages:     b,
+		Xi:         xi,
+		Thresholds: make([]float64, 0, b),
 	}
 	for j := 1; j <= b; j++ {
 		s.Thresholds = append(s.Thresholds, 1-math.Pow(xi, float64(j)))
@@ -172,40 +173,6 @@ type StackEntry struct {
 	Set                []int32
 }
 
-// implicitThreshold is the instance count above which Phase1 switches from
-// the explicit conflict graph (cliques materialized as adjacency, possibly
-// quadratic) to clique-cover aggregation. The two paths compute identical
-// sets (see mis.LubyFuncImplicit). The cover costs O(Σ|clique|) to build
-// where the adjacency is quadratic in clique sizes, and since the Luby
-// routines walk only the undecided frontier the per-solve costs are
-// comparable — so the cold path prefers the cover for everything but tiny
-// models, where the densest adjacency is still a handful of cache lines.
-const implicitThreshold = 32
-
-// misFunc computes a maximal independent set of the active instances
-// under the given priority function, returning the set and the number of
-// Luby phases used. The returned set aliases the scratch and is
-// overwritten by the next call.
-type misFunc func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int)
-
-// newMISFunc builds the MIS routine for m, choosing the explicit or
-// implicit conflict representation by instance count, and reports the
-// clique count the routine's scratch must be sized for (0 for the
-// explicit path). Building the conflict structure is the expensive part;
-// Compiled caches the returned closure so repeated solves pay it once.
-func newMISFunc(m *model.Model) (misFunc, int) {
-	if len(m.Insts) > implicitThreshold {
-		im := conflict.BuildImplicit(m)
-		return func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int) {
-			return sc.LubyFuncImplicit(im, active, prio)
-		}, im.NumCliques()
-	}
-	cg := conflict.Build(m)
-	return func(sc *mis.Scratch, active []bool, prio func(int32, int) float64) ([]int32, int) {
-		return sc.LubyFunc(cg.Adj, active, prio)
-	}, 0
-}
-
 // solveScratch holds every reusable buffer of one centralized solve:
 // duals, the Phase1 active flags and recheck stamps, the stack and its
 // set arena, the Phase2 feasibility state, and the Luby scratch. A warm
@@ -229,13 +196,21 @@ type solveScratch struct {
 	// already-pushed sets until the solve ends.
 	setArena []int32
 	stack    []StackEntry
+	// front is the running stage's active instances, ascending — the
+	// list the Luby routine is seeded from, compacted after every step.
+	front []int32
+	// Due-stage buckets of the running epoch: intrusive lists, head[j]
+	// starting stage j's (-1 = empty) and next[i] linking instance i to
+	// the rest of its bucket. See phase1.
+	head     []int32
+	next     []int32
 	load     []float64
 	used     []bool
 	selected []int32
 	mis      *mis.Scratch
 }
 
-func newSolveScratch(m *model.Model, numCliques int) *solveScratch {
+func newSolveScratch(m *model.Model) *solveScratch {
 	n := len(m.Insts)
 	return &solveScratch{
 		duals: lp.Duals{
@@ -246,9 +221,10 @@ func newSolveScratch(m *model.Model, numCliques int) *solveScratch {
 		stamp:  make([]int32, n),
 		lhs:    make([]float64, n),
 		dirty:  make([]bool, n),
+		next:   make([]int32, n),
 		load:   make([]float64, m.EdgeSpace),
 		used:   make([]bool, m.NumDemands),
-		mis:    mis.NewScratch(n, numCliques),
+		mis:    mis.NewScratch(n, conflict.Cover(m).NumCliques()),
 	}
 }
 
@@ -266,7 +242,8 @@ func grow[T any](s []T, n int) []T {
 // the delta-recompilation path hands the parent compilation's scratch to
 // the child, so a small-churn re-solve keeps its warm allocation profile
 // even though every dimension (instances, demands, cliques) may have
-// shifted slightly. The Luby scratch resizes itself per call.
+// shifted slightly. The Luby scratch resizes itself per call, and the
+// bucket heads per solve.
 func (sc *solveScratch) adapt(m *model.Model) {
 	n := len(m.Insts)
 	sc.duals.Alpha = grow(sc.duals.Alpha, m.NumDemands)
@@ -275,6 +252,7 @@ func (sc *solveScratch) adapt(m *model.Model) {
 	sc.stamp = grow(sc.stamp, n)
 	sc.lhs = grow(sc.lhs, n)
 	sc.dirty = grow(sc.dirty, n)
+	sc.next = grow(sc.next, n)
 	sc.load = grow(sc.load, m.EdgeSpace)
 	sc.used = grow(sc.used, m.NumDemands)
 }
@@ -301,32 +279,76 @@ func (sc *solveScratch) reset() {
 // members (via deterministic-priority Luby, seeded), raise them tight, and
 // push the set. It returns the dual assignment and the stack.
 func Phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace) (*lp.Duals, []StackEntry, error) {
-	misFn, nc := newMISFunc(m)
-	return phase1(m, misFn, rule, sched, seed, trace, nil, newSolveScratch(m, nc))
+	return phase1(m, rule, sched, seed, trace, nil, newSolveScratch(m))
 }
 
-// phase1 is Phase1 with the MIS routine and scratch supplied by the
-// caller (cached and pooled in a solverModel, or freshly built). The
-// returned duals and stack alias the scratch: a pooling caller must
-// finish with them before releasing it. A non-nil tel records one span
-// per epoch with per-stage child spans (steps, raises, Luby MIS phase
-// counts); tel is read-only observation and never alters the
-// computation — with tel == nil the loop pays one predictable branch
-// per stage and per step.
+// meets is the satisfaction test lp.Satisfied applies to a dual LHS:
+// lhs ≥ thr·p − Tol. Phase1 and its due-stage search share this one
+// expression so a bucket key is exact for the LHS it was computed from.
+func meets(lhs, thr, p float64) bool {
+	return lhs >= thr*p-lp.Tol
+}
+
+// dueStage returns the first stage j ≥ from whose threshold an instance
+// with dual LHS lhs and profit p misses, or len(thr)+1 when it meets
+// every remaining one. Thresholds are non-decreasing (phase1 checks), so
+// "meets stage j" holds for a prefix of stages and a binary search finds
+// its end.
+func dueStage(thr []float64, from int, lhs, p float64) int {
+	lo, hi := from, len(thr)+1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if meets(lhs, thr[mid-1], p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// phase1 is Phase1 with the scratch supplied by the caller (pooled in a
+// solverModel, or freshly built). The returned duals and stack alias the
+// scratch: a pooling caller must finish with them before releasing it. A
+// non-nil tel records one span per epoch with per-stage child spans
+// (steps, raises, Luby MIS phase counts); tel is read-only observation
+// and never alters the computation — with tel == nil the loop pays one
+// predictable branch per stage and per step.
 //
-// The active set is tracked incrementally instead of rescanned: each
-// stage starts with one scan of the epoch's layer-group bucket, and each
-// step re-evaluates satisfaction only for instances a raise could have
-// moved — the raised demand's instances (α changed) and the instances
-// whose path crosses a raised critical edge (β changed). Raises only
-// ever increase dual LHS values, so an untouched instance's satisfaction
-// cannot change and the tracked set stays exactly the rescan set; the
-// equivalence suite asserts byte-identical duals and stacks against a
-// full-rescan reference.
-func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed uint64, trace *Trace, tel *obs.Trace, sc *solveScratch) (*lp.Duals, []StackEntry, error) {
+// Each epoch reads its group once, to key it; from there on every loop
+// costs the stage's frontier, not the group or the instance count:
+//
+//   - Due-stage buckets replace per-stage group scans. Raises only add
+//     δ > 0, so every LHS is non-decreasing, and so are the thresholds.
+//     An instance that meets stage j's threshold therefore meets every
+//     earlier one, and its due stage — the first threshold it misses —
+//     only moves later. Each epoch keys every group instance once by
+//     its due stage (dueStage on its current LHS); stage j examines only
+//     bucket j, activating the unsatisfied and re-keying the rest from
+//     j+1, and every front instance a step satisfies is re-keyed from
+//     j+1 too. A stale key is early, never late, so stage j activates
+//     exactly the group instances a full scan at threshold j would.
+//   - Each step re-evaluates satisfaction only for instances a raise
+//     could have moved — the raised demand's instances (α changed) and
+//     the instances whose path crosses a raised critical edge (β
+//     changed). An untouched instance's satisfaction cannot change.
+//   - Luby is seeded from the stage's ascending front list and reads
+//     the conflict cliques straight from the model (conflict.Cover).
+//
+// The equivalence suite asserts byte-identical duals and stacks against
+// a full-rescan reference.
+func phase1(m *model.Model, rule lp.Rule, sched Schedule, seed uint64, trace *Trace, tel *obs.Trace, sc *solveScratch) (*lp.Duals, []StackEntry, error) {
+	thr := sched.Thresholds
+	for j := 1; j < len(thr); j++ {
+		if thr[j] < thr[j-1] {
+			return nil, nil, fmt.Errorf("core: schedule threshold %d (%g) below threshold %d (%g)", j+1, thr[j], j, thr[j-1])
+		}
+	}
 	sc.reset()
+	sc.head = grow(sc.head, sched.Stages+1)
 	duals := &sc.duals
 	active := sc.active
+	cover := conflict.Cover(m)
 	stepCounter := uint64(0)
 
 	// One priority closure per solve; prioStep is rebound each step.
@@ -334,39 +356,50 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 	prio := func(i int32, phase int) float64 {
 		return mis.Priority(seed, i, prioStep, phase)
 	}
-	// satisfied is lp.Satisfied through the lazy LHS cache: recompute on
-	// dirty, reuse the last recomputation otherwise. The cached value is
-	// always itself a full rule.LHS evaluation of the current duals, so
-	// the comparison is float-identical to an uncached rescan.
-	threshold := 0.0
-	satisfied := func(i int32) bool {
+	// lhs is rule.LHS through the lazy cache: recompute on dirty, reuse
+	// the last recomputation otherwise. The cached value is always itself
+	// a full rule.LHS evaluation of the current duals, so every
+	// comparison is float-identical to an uncached rescan.
+	lhs := func(i int32) float64 {
 		if sc.dirty[i] {
 			sc.lhs[i] = rule.LHS(m, duals, i)
 			sc.dirty[i] = false
 		}
-		return sc.lhs[i] >= threshold*m.Insts[i].Profit-lp.Tol
+		return sc.lhs[i]
 	}
+	threshold := 0.0
 	// touch marks one raise-affected instance dirty and, when it is in
-	// the running stage's active set, re-evaluates it; the stamp
-	// deduplicates multi-edge hits within one step.
-	count := 0
+	// the running stage's front, re-evaluates it; the stamp deduplicates
+	// multi-edge hits within one step.
 	touch := func(i int32) {
 		if sc.stamp[i] == sc.stampGen {
 			return
 		}
 		sc.stamp[i] = sc.stampGen
 		sc.dirty[i] = true
-		if active[i] && satisfied(i) {
+		if active[i] && meets(lhs(i), threshold, m.Insts[i].Profit) {
 			active[i] = false
-			count--
+		}
+	}
+	// bucket files instance i under its due stage from stage from on; an
+	// instance meeting every remaining threshold is done for the epoch.
+	head, next := sc.head, sc.next
+	bucket := func(i int32, from int) {
+		if j := dueStage(thr, from, lhs(i), m.Insts[i].Profit); j <= sched.Stages {
+			next[i] = head[j]
+			head[j] = i
 		}
 	}
 
 	for k := 1; k <= sched.Epochs; k++ {
 		epochSpan := tel.Begin("epoch")
-		var group []int32
+		for j := range head {
+			head[j] = -1
+		}
 		if k <= m.GroupInsts.Rows() {
-			group = m.GroupInsts.Row(int32(k - 1))
+			for _, i := range m.GroupInsts.Row(int32(k - 1)) {
+				bucket(i, 1)
+			}
 		}
 		var stageSteps []int
 		for j := 1; j <= sched.Stages; j++ {
@@ -375,27 +408,45 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 			if tel != nil {
 				stageSpan = tel.Begin("stage")
 			}
-			threshold = sched.Thresholds[j-1]
-			// U = group-k instances that are threshold-unsatisfied. One
-			// bucket scan per stage — cached LHS reads, so only instances
-			// raises touched since their last read walk their path; the
-			// step loop below maintains the set incrementally.
-			count = 0
-			for _, i := range group {
-				if !satisfied(i) {
+			threshold = thr[j-1]
+			// U = group-k instances that are threshold-unsatisfied: the
+			// unsatisfied members of bucket j, in ascending order.
+			front := sc.front[:0]
+			for i := head[j]; i >= 0; {
+				nx := next[i]
+				if meets(lhs(i), threshold, m.Insts[i].Profit) {
+					bucket(i, j+1)
+				} else {
 					active[i] = true
-					count++
+					front = append(front, i)
 				}
+				i = nx
 			}
+			head[j] = -1
+			slices.Sort(front)
 			steps := 0
-			for count > 0 {
+			for {
+				// Drop (and re-key) the instances the last step's raises
+				// satisfied, keeping the front ascending.
+				keep := front[:0]
+				for _, i := range front {
+					if active[i] {
+						keep = append(keep, i)
+					} else {
+						bucket(i, j+1)
+					}
+				}
+				front = keep
+				if len(front) == 0 {
+					break
+				}
 				steps++
 				if steps > sched.MaxSteps {
 					return nil, nil, fmt.Errorf("core: stage (%d,%d) exceeded %d steps — kill-chain bound violated", k, j, sched.MaxSteps)
 				}
 				stepCounter++
 				prioStep = stepCounter
-				set, phases := misFn(sc.mis, active, prio)
+				set, phases := sc.mis.LubyFuncImplicit(cover, front, prio)
 				if trace != nil {
 					trace.MISPhases += phases
 				}
@@ -434,6 +485,7 @@ func phase1(m *model.Model, misFn misFunc, rule lp.Rule, sched Schedule, seed ui
 					}
 				}
 			}
+			sc.front = front
 			if trace != nil {
 				stageSteps = append(stageSteps, steps)
 			}

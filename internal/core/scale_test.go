@@ -8,8 +8,9 @@ import (
 	"treesched/internal/verify"
 )
 
-// TestLargeInstanceCountUsesImplicitPath pushes past the implicit
-// threshold (many windowed instances) and checks the pipeline end to end.
+// TestLargeInstanceCountUsesImplicitPath runs the clique-cover Phase1 on
+// a large windowed line workload (well over a thousand instances) and
+// checks the pipeline end to end.
 func TestLargeInstanceCountUsesImplicitPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large workload")
@@ -19,8 +20,8 @@ func TestLargeInstanceCountUsesImplicitPath(t *testing.T) {
 		Slots: 120, Resources: 3, Demands: 150, Unit: true, MaxProc: 10, Slack: 20,
 	}, rng)
 	insts := p.Expand()
-	if len(insts) <= implicitThreshold {
-		t.Fatalf("workload too small to exercise the implicit path: %d instances", len(insts))
+	if len(insts) < 1000 {
+		t.Fatalf("workload too small to exercise Phase1 at scale: %d instances", len(insts))
 	}
 	res, err := LineUnit(p, Options{Epsilon: 0.25, Seed: 1})
 	if err != nil {
@@ -36,11 +37,10 @@ func TestLargeInstanceCountUsesImplicitPath(t *testing.T) {
 		len(insts), len(res.Selected), res.CertifiedRatio)
 }
 
-// TestImplicitExplicitPhase1Agree pins determinism near the implicit
-// threshold: the same seed must reproduce the same selection. (The
-// explicit/implicit MIS equivalence itself is proved per-call in
-// internal/mis; the large test above exercises the implicit framework
-// path end to end.)
+// TestImplicitExplicitPhase1Agree pins determinism: the same seed must
+// reproduce the same selection. (The explicit/implicit MIS equivalence
+// itself is proved per call in internal/mis, and against the explicit
+// full-rescan reference in TestPhase1MatchesFullRescanReference.)
 func TestImplicitExplicitPhase1Agree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := gen.LineProblem(gen.LineConfig{

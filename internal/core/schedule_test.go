@@ -141,3 +141,87 @@ func TestDistributedPSMatchesCentralized(t *testing.T) {
 		t.Fatal("accepted tree problem")
 	}
 }
+
+// scheduleGrid lists one schedule per stage base the solvers construct
+// (UnitXi for every critical-set size, NarrowXi across the narrow
+// height range, the single-stage λ) at a spread of ε values.
+func scheduleGrid() []Schedule {
+	m := &model.Model{}
+	var out []Schedule
+	for _, eps := range []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.9} {
+		for delta := 1; delta <= 8; delta++ {
+			out = append(out, NewSchedule(m, UnitXi(delta), eps))
+			for _, hmin := range []float64{0.5, 0.25, 0.1, 0.05, 0.01, 0.001} {
+				out = append(out, NewSchedule(m, NarrowXi(delta, hmin), eps))
+			}
+		}
+		out = append(out, NewSingleStageSchedule(m, 1/(5+eps)))
+	}
+	return out
+}
+
+// TestScheduleThresholdsNonDecreasing pins the precondition of Phase1's
+// due-stage binary search: every schedule a solver builds has
+// non-decreasing thresholds.
+func TestScheduleThresholdsNonDecreasing(t *testing.T) {
+	for _, s := range scheduleGrid() {
+		if len(s.Thresholds) != s.Stages {
+			t.Fatalf("ξ=%g: %d thresholds for %d stages", s.Xi, len(s.Thresholds), s.Stages)
+		}
+		for j := 1; j < len(s.Thresholds); j++ {
+			if s.Thresholds[j] < s.Thresholds[j-1] {
+				t.Fatalf("ξ=%g: threshold %d (%v) below threshold %d (%v)", s.Xi, j+1, s.Thresholds[j], j, s.Thresholds[j-1])
+			}
+		}
+	}
+}
+
+// TestDueStageMatchesLinearScan compares the due-stage binary search
+// with a linear scan of lp.Satisfied's comparison, probing each
+// threshold's exact boundary lhs == thr·p − Tol and its float neighbours.
+func TestDueStageMatchesLinearScan(t *testing.T) {
+	linear := func(thr []float64, from int, lhs, p float64) int {
+		j := from
+		for j <= len(thr) && lhs >= thr[j-1]*p-lp.Tol {
+			j++
+		}
+		return j
+	}
+	profits := []float64{1, 0.37, 3, 1e-6, 250}
+	for _, s := range scheduleGrid() {
+		thr := s.Thresholds
+		if len(thr) > 64 {
+			thr = thr[:64] // the boundaries of the long narrow schedules repeat this pattern
+		}
+		for _, p := range profits {
+			var probes []float64
+			for _, x := range thr {
+				b := x*p - lp.Tol
+				probes = append(probes, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+			}
+			probes = append(probes, -1, 0, 2*p)
+			for _, lhs := range probes {
+				for from := 1; from <= len(thr)+1; from += 1 + len(thr)/7 {
+					if got, want := dueStage(thr, from, lhs, p), linear(thr, from, lhs, p); got != want {
+						t.Fatalf("ξ=%g p=%g lhs=%v from %d: dueStage %d, linear scan %d", s.Xi, p, lhs, from, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPhase1RejectsDecreasingThresholds: a hand-built schedule that
+// breaks the due-stage precondition is refused, not silently solved.
+func TestPhase1RejectsDecreasingThresholds(t *testing.T) {
+	p := gen.LineProblem(gen.LineConfig{Slots: 20, Resources: 1, Demands: 6, Unit: true}, rand.New(rand.NewSource(1)))
+	m, err := model.Build(p, model.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSchedule(m, UnitXi(m.Delta), 0.25)
+	s.Thresholds[1], s.Thresholds[2] = s.Thresholds[2], s.Thresholds[1]
+	if _, _, err := Phase1(m, lp.Unit{}, s, 1, nil); err == nil {
+		t.Fatal("Phase1 accepted decreasing thresholds")
+	}
+}

@@ -120,7 +120,7 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 	sc := sm.acquire()
 	defer sm.release(sc)
 	sp := tel.Begin("phase1")
-	duals, stack, err := phase1(m, sm.misFn(), rule, sched, opts.Seed, trace, tel, sc)
+	duals, stack, err := phase1(m, rule, sched, opts.Seed, trace, tel, sc)
 	if err != nil {
 		tel.End(sp)
 		return nil, err
@@ -151,6 +151,9 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 		Bound:  bound,
 		Trace:  trace,
 		Model:  m,
+	}
+	if len(sel) > 0 {
+		res.Selected = make([]instance.Inst, 0, len(sel))
 	}
 	for _, i := range sel {
 		res.Selected = append(res.Selected, m.Insts[i])

@@ -2,13 +2,16 @@
 // algorithm [Luby 1986], the MIS subroutine named by the paper for its
 // distributed iterations (§5). Two equivalent executions are provided:
 //
-//   - Luby: over an explicit conflict graph;
-//   - LubyImplicit: over a clique cover, aggregating priorities per clique
-//     (top-2 minima) so each phase costs O(Σ|clique|) instead of O(edges).
+//   - LubyFunc (and its rng form Luby): over an explicit conflict graph,
+//     seeded by active flags over all vertices — the reference oracle;
+//   - Scratch.LubyFuncImplicit: over the model-backed clique cover,
+//     seeded by a list of active vertices and aggregating priorities per
+//     clique, so each phase costs the undecided frontier and its cliques
+//     instead of the whole graph — the routine the solvers run.
 //
 // Both draw per-phase priorities for the undecided vertices in increasing
-// index order from the caller's rng, so with equal seeds they return
-// identical sets — a property the tests rely on.
+// index order, so with equal priorities they return identical sets — a
+// property the tests rely on.
 package mis
 
 import (
@@ -30,43 +33,47 @@ const (
 )
 
 // Luby computes a maximal independent set of the subgraph of g induced by
-// active vertices. It returns the set (ascending order) and the number of
-// phases used; each phase corresponds to O(1) communication rounds in the
-// distributed implementation.
+// active vertices, drawing priorities from rng. It returns the set
+// (ascending order) and the number of phases used; each phase
+// corresponds to O(1) communication rounds in the distributed
+// implementation.
 func Luby(g *conflict.Graph, active []bool, rng *rand.Rand) ([]int32, int) {
-	st := make([]state, g.N)
-	remaining := 0
+	return LubyFunc(g.Adj, active, func(int32, int) float64 { return rng.Float64() })
+}
+
+// LubyFunc computes a maximal independent set like Luby, but with
+// priorities supplied by prio(vertex, phase) instead of an rng — the hook
+// the deterministic distributed/centralized equivalence uses. Each phase
+// draws for the undecided vertices in ascending order, then a vertex
+// joins when it beats every undecided neighbor by (priority, index)
+// order. It returns a freshly allocated set (ascending) and the number
+// of phases.
+func LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
+	n := len(adj)
+	st := make([]state, n)
+	p := make([]float64, n)
+	var und, winners, set []int32
 	for i := range st {
 		if active[i] {
-			st[i] = undecided
-			remaining++
+			und = append(und, int32(i))
 		} else {
 			st[i] = inactive
 		}
 	}
-	prio := make([]float64, g.N)
-	var mis []int32
-	phases := 0
-	for remaining > 0 {
-		phases++
-		for i := 0; i < g.N; i++ {
-			if st[i] == undecided {
-				prio[i] = rng.Float64()
-			}
+	phase := 0
+	for len(und) > 0 {
+		phase++
+		for _, i := range und {
+			p[i] = prio(i, phase)
 		}
-		// A vertex joins when it beats every undecided neighbor by
-		// (priority, index) order.
-		var winners []int32
-		for i := int32(0); int(i) < g.N; i++ {
-			if st[i] != undecided {
-				continue
-			}
+		winners = winners[:0]
+		for _, i := range und {
 			best := true
-			for _, j := range g.Adj[i] {
+			for _, j := range adj[i] {
 				if st[j] != undecided {
 					continue
 				}
-				if prio[j] < prio[i] || (prio[j] == prio[i] && j < i) {
+				if p[j] < p[i] || (p[j] == p[i] && j < i) {
 					best = false
 					break
 				}
@@ -77,97 +84,31 @@ func Luby(g *conflict.Graph, active []bool, rng *rand.Rand) ([]int32, int) {
 		}
 		for _, i := range winners {
 			st[i] = inMIS
-			remaining--
-			mis = append(mis, i)
+			set = append(set, i)
 		}
 		for _, i := range winners {
-			for _, j := range g.Adj[i] {
+			for _, j := range adj[i] {
 				if st[j] == undecided {
 					st[j] = excluded
-					remaining--
 				}
 			}
 		}
+		und = compactUndecided(und, st)
 	}
-	sortInt32(mis)
-	return mis, phases
+	slices.Sort(set)
+	return set, phase
 }
 
-// LubyImplicit runs the same algorithm over a clique cover. Per phase,
-// each clique computes its two smallest (priority, index) pairs among
-// undecided members; a vertex wins when it is the strict minimum of every
-// clique containing it.
-func LubyImplicit(im *conflict.Implicit, active []bool, rng *rand.Rand) ([]int32, int) {
-	st := make([]state, im.N)
-	remaining := 0
-	for i := range st {
-		if active[i] {
-			st[i] = undecided
-			remaining++
-		} else {
-			st[i] = inactive
+// compactUndecided drops decided vertices from the worklist in place,
+// preserving ascending order.
+func compactUndecided(und []int32, st []state) []int32 {
+	keep := und[:0]
+	for _, i := range und {
+		if st[i] == undecided {
+			keep = append(keep, i)
 		}
 	}
-	prio := make([]float64, im.N)
-	nc := im.NumCliques()
-	top1 := make([]int32, nc) // index of clique minimum; -1 if none
-	var mis []int32
-	phases := 0
-	better := func(a, b int32) bool {
-		return prio[a] < prio[b] || (prio[a] == prio[b] && a < b)
-	}
-	for remaining > 0 {
-		phases++
-		for i := 0; i < im.N; i++ {
-			if st[i] == undecided {
-				prio[i] = rng.Float64()
-			}
-		}
-		for k := 0; k < nc; k++ {
-			top1[k] = -1
-			for _, i := range im.Clique(int32(k)) {
-				if st[i] != undecided {
-					continue
-				}
-				if top1[k] < 0 || better(i, top1[k]) {
-					top1[k] = i
-				}
-			}
-		}
-		var winners []int32
-		for i := int32(0); int(i) < im.N; i++ {
-			if st[i] != undecided {
-				continue
-			}
-			best := true
-			for _, k := range im.CliquesOf.Row(i) {
-				if top1[k] != i {
-					best = false
-					break
-				}
-			}
-			if best {
-				winners = append(winners, i)
-			}
-		}
-		for _, i := range winners {
-			st[i] = inMIS
-			remaining--
-			mis = append(mis, i)
-		}
-		for _, i := range winners {
-			for _, k := range im.CliquesOf.Row(i) {
-				for _, j := range im.Clique(k) {
-					if st[j] == undecided {
-						st[j] = excluded
-						remaining--
-					}
-				}
-			}
-		}
-	}
-	sortInt32(mis)
-	return mis, phases
+	return keep
 }
 
 // Greedy returns the deterministic lowest-index-first MIS, used as a
@@ -228,8 +169,4 @@ func VerifyMaximalIndependent(g *conflict.Graph, active []bool, set []int32) err
 		}
 	}
 	return nil
-}
-
-func sortInt32(s []int32) {
-	slices.Sort(s)
 }

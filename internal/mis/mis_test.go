@@ -9,7 +9,7 @@ import (
 	"treesched/internal/model"
 )
 
-func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, *conflict.Implicit) {
+func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, conflict.Implicit) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	p := gen.TreeProblem(gen.TreeConfig{N: 25, Trees: 3, Demands: 20, Unit: true}, rng)
@@ -17,7 +17,24 @@ func buildGraphs(t testing.TB, seed int64) (*model.Model, *conflict.Graph, *conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, conflict.Build(m), conflict.BuildImplicit(m)
+	return m, conflict.Build(m), conflict.Cover(m)
+}
+
+// listOf returns the ascending list of active vertices.
+func listOf(active []bool) []int32 {
+	var list []int32
+	for i, a := range active {
+		if a {
+			list = append(list, int32(i))
+		}
+	}
+	return list
+}
+
+// lubyImplicit runs the list-seeded clique-cover routine on a fresh
+// scratch with rng-drawn priorities — the cover counterpart of Luby.
+func lubyImplicit(im conflict.Implicit, active []bool, rng *rand.Rand) ([]int32, int) {
+	return NewScratch(0, 0).LubyFuncImplicit(im, listOf(active), func(int32, int) float64 { return rng.Float64() })
 }
 
 func TestLubyProducesMaximalIndependentSets(t *testing.T) {
@@ -67,7 +84,7 @@ func TestExplicitAndImplicitLubyAgree(t *testing.T) {
 		r1 := rand.New(rand.NewSource(1234 + seed))
 		r2 := rand.New(rand.NewSource(1234 + seed))
 		s1, p1 := Luby(g, active, r1)
-		s2, p2 := LubyImplicit(im, active, r2)
+		s2, p2 := lubyImplicit(im, active, r2)
 		if p1 != p2 {
 			t.Fatalf("seed %d: phases %d vs %d", seed, p1, p2)
 		}
@@ -101,7 +118,7 @@ func TestEmptyActiveSet(t *testing.T) {
 	if set, phases := Luby(g, active, rng); len(set) != 0 || phases != 0 {
 		t.Fatal("empty active set should need 0 phases")
 	}
-	if set, phases := LubyImplicit(im, active, rng); len(set) != 0 || phases != 0 {
+	if set, phases := lubyImplicit(im, active, rng); len(set) != 0 || phases != 0 {
 		t.Fatal("implicit: empty active set should need 0 phases")
 	}
 	if set := Greedy(g, active); len(set) != 0 {
@@ -167,13 +184,13 @@ func BenchmarkLubyExplicit(b *testing.B) {
 
 func BenchmarkLubyImplicit(b *testing.B) {
 	_, _, im := buildGraphs(b, 1)
-	active := make([]bool, im.N)
+	active := make([]bool, im.N())
 	for i := range active {
 		active[i] = true
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		_, _ = LubyImplicit(im, active, rng)
+		_, _ = lubyImplicit(im, active, rng)
 	}
 }

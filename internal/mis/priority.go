@@ -1,6 +1,8 @@
 package mis
 
 import (
+	"slices"
+
 	"treesched/internal/conflict"
 )
 
@@ -25,12 +27,12 @@ func Priority(seed uint64, inst int32, step uint64, phase int) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// Scratch holds the reusable state of the deterministic-priority Luby
-// routines so a solver calling them once per framework step allocates
-// nothing in steady state. A Scratch is single-goroutine; size it for the
-// largest (vertex count, clique count) pair it will see. The set returned
-// by its methods aliases an internal buffer and is overwritten by the
-// next call — callers that retain sets must copy them out.
+// Scratch holds the reusable state of the list-seeded clique-cover Luby
+// routine so a solver calling it once per framework step allocates
+// nothing in steady state. A Scratch is single-goroutine; it sizes itself
+// for each call's vertex and clique counts. The set returned by its
+// method aliases an internal buffer and is overwritten by the next call
+// — callers that retain sets must copy them out.
 type Scratch struct {
 	st      []state
 	prio    []float64
@@ -45,18 +47,17 @@ type Scratch struct {
 	cliqueGen   int32
 }
 
-// NewScratch sizes a scratch for n vertices and numCliques cliques
-// (numCliques may be 0 when only the explicit-graph routine is used).
+// NewScratch sizes a scratch for n vertices and numCliques cliques.
 func NewScratch(n, numCliques int) *Scratch {
-	return &Scratch{
-		st:          make([]state, n),
-		prio:        make([]float64, n),
-		top1:        make([]int32, numCliques),
-		cliqueStamp: make([]int32, numCliques),
-	}
+	s := &Scratch{}
+	s.ensure(n, numCliques)
+	return s
 }
 
 // ensure re-sizes the buffers for a call on n vertices / nc cliques.
+// Contents carry over and need no clearing: a call writes the state and
+// priority of each list member before reading it, and reads a clique's
+// minimum only under a stamp from the current generation.
 func (s *Scratch) ensure(n, nc int) {
 	if cap(s.st) < n {
 		s.st = make([]state, n)
@@ -70,74 +71,71 @@ func (s *Scratch) ensure(n, nc int) {
 	}
 	s.top1 = s.top1[:nc]
 	s.cliqueStamp = s.cliqueStamp[:nc]
-	s.und = s.und[:0]
 	s.winners = s.winners[:0]
 	s.out = s.out[:0]
 }
 
-// initStates seeds the per-vertex states and the ascending undecided
-// worklist from the active flags.
-func (s *Scratch) initStates(active []bool) {
-	for i := range s.st {
-		if active[i] {
-			s.st[i] = undecided
-			s.und = append(s.und, int32(i))
-		} else {
-			s.st[i] = inactive
+// offer folds vertex i into clique k's running (priority, index)
+// minimum for the current phase.
+func (s *Scratch) offer(k, i int32) {
+	if s.cliqueStamp[k] != s.cliqueGen {
+		s.cliqueStamp[k] = s.cliqueGen
+		s.top1[k] = i
+	} else if j := s.top1[k]; s.prio[i] < s.prio[j] || (s.prio[i] == s.prio[j] && i < j) {
+		s.top1[k] = i
+	}
+}
+
+// exclude marks the undecided members of clique k excluded.
+func (s *Scratch) exclude(im conflict.Implicit, k int32) {
+	for _, j := range im.Clique(k) {
+		if s.st[j] == undecided {
+			s.st[j] = excluded
 		}
 	}
 }
 
-// compactUndecided drops decided vertices from the worklist, preserving
-// ascending order.
-func (s *Scratch) compactUndecided() {
-	keep := s.und[:0]
-	for _, i := range s.und {
-		if s.st[i] == undecided {
-			keep = append(keep, i)
-		}
+// LubyFuncImplicit computes, over the clique cover im, the maximal
+// independent set of the vertices in list (ascending, duplicate-free)
+// that LubyFunc computes on the corresponding explicit graph with those
+// vertices active: with the same priority function it returns exactly
+// the same set (ascending) and phase count. Winners are the per-clique
+// minima by (priority, index); exclusions are clique co-members.
+//
+// The call costs the list and the cliques of its members, never the
+// vertex or clique count. A vertex outside list is never read for a
+// decision — its state is at most overwritten by an exclusion — so no
+// call depends on what an earlier (even an interrupted) call left behind.
+func (s *Scratch) LubyFuncImplicit(im conflict.Implicit, list []int32, prio func(i int32, phase int) float64) ([]int32, int) {
+	s.ensure(im.N(), im.NumCliques())
+	s.und = append(s.und[:0], list...)
+	for _, i := range list {
+		s.st[i] = undecided
 	}
-	s.und = keep
-}
-
-// LubyFuncImplicit mirrors LubyFunc over a clique cover: winners are the
-// per-clique minima by (priority, index), exclusions are clique
-// co-members. With the same priority function it returns exactly the same
-// set and phase count as LubyFunc on the corresponding explicit graph.
-// Each phase walks only the undecided vertices and their cliques (minima
-// accumulated with lazily-stamped per-clique slots), so the cost tracks
-// the shrinking frontier rather than the full cover.
-func (s *Scratch) LubyFuncImplicit(im *conflict.Implicit, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	s.ensure(im.N, im.NumCliques())
-	s.initStates(active)
-	st, p, top1 := s.st, s.prio, s.top1
+	nd := im.NumDemands()
 	phase := 0
-	better := func(a, b int32) bool {
-		return p[a] < p[b] || (p[a] == p[b] && a < b)
-	}
 	for len(s.und) > 0 {
 		phase++
 		for _, i := range s.und {
-			p[i] = prio(i, phase)
+			s.prio[i] = prio(i, phase)
 		}
 		// Ascending accumulation over the undecided worklist reproduces
 		// each clique's minimum over its undecided members exactly.
 		s.cliqueGen++
 		for _, i := range s.und {
-			for _, k := range im.CliquesOf.Row(i) {
-				if s.cliqueStamp[k] != s.cliqueGen {
-					s.cliqueStamp[k] = s.cliqueGen
-					top1[k] = i
-				} else if better(i, top1[k]) {
-					top1[k] = i
-				}
+			s.offer(im.Demand(i), i)
+			for _, e := range im.Path(i) {
+				s.offer(nd+e, i)
 			}
 		}
 		s.winners = s.winners[:0]
 		for _, i := range s.und {
+			if s.top1[im.Demand(i)] != i {
+				continue
+			}
 			best := true
-			for _, k := range im.CliquesOf.Row(i) {
-				if top1[k] != i {
+			for _, e := range im.Path(i) {
+				if s.top1[nd+e] != i {
 					best = false
 					break
 				}
@@ -147,87 +145,17 @@ func (s *Scratch) LubyFuncImplicit(im *conflict.Implicit, active []bool, prio fu
 			}
 		}
 		for _, i := range s.winners {
-			st[i] = inMIS
+			s.st[i] = inMIS
 			s.out = append(s.out, i)
 		}
 		for _, i := range s.winners {
-			for _, k := range im.CliquesOf.Row(i) {
-				for _, j := range im.Clique(k) {
-					if st[j] == undecided {
-						st[j] = excluded
-					}
-				}
+			s.exclude(im, im.Demand(i))
+			for _, e := range im.Path(i) {
+				s.exclude(im, nd+e)
 			}
 		}
-		s.compactUndecided()
+		s.und = compactUndecided(s.und, s.st)
 	}
-	sortInt32(s.out)
+	slices.Sort(s.out)
 	return s.out, phase
-}
-
-// LubyFunc computes a maximal independent set like Luby, but with
-// priorities supplied by prio(vertex, phase) instead of an rng — the hook
-// the deterministic distributed/centralized equivalence uses. It returns
-// the set (ascending) and the number of phases.
-func (s *Scratch) LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	s.ensure(len(adj), 0)
-	s.initStates(active)
-	st, p := s.st, s.prio
-	phase := 0
-	for len(s.und) > 0 {
-		phase++
-		// Priorities of decided vertices are never read (the winner scan
-		// skips them before comparing), so only the worklist draws.
-		for _, i := range s.und {
-			p[i] = prio(i, phase)
-		}
-		s.winners = s.winners[:0]
-		for _, i := range s.und {
-			best := true
-			for _, j := range adj[i] {
-				if st[j] != undecided {
-					continue
-				}
-				if p[j] < p[i] || (p[j] == p[i] && j < i) {
-					best = false
-					break
-				}
-			}
-			if best {
-				s.winners = append(s.winners, i)
-			}
-		}
-		for _, i := range s.winners {
-			st[i] = inMIS
-			s.out = append(s.out, i)
-		}
-		for _, i := range s.winners {
-			for _, j := range adj[i] {
-				if st[j] == undecided {
-					st[j] = excluded
-				}
-			}
-		}
-		s.compactUndecided()
-	}
-	sortInt32(s.out)
-	return s.out, phase
-}
-
-// LubyFuncImplicit is the allocating form of Scratch.LubyFuncImplicit;
-// the returned set is freshly allocated and safe to retain.
-func LubyFuncImplicit(im *conflict.Implicit, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	set, phases := NewScratch(im.N, im.NumCliques()).LubyFuncImplicit(im, active, prio)
-	out := make([]int32, len(set))
-	copy(out, set)
-	return out, phases
-}
-
-// LubyFunc is the allocating form of Scratch.LubyFunc; the returned set
-// is freshly allocated and safe to retain.
-func LubyFunc(adj [][]int32, active []bool, prio func(i int32, phase int) float64) ([]int32, int) {
-	set, phases := NewScratch(len(adj), 0).LubyFunc(adj, active, prio)
-	out := make([]int32, len(set))
-	copy(out, set)
-	return out, phases
 }

@@ -7,8 +7,9 @@ package model
 // so when the demand set changes, rows of surviving demands are copied
 // verbatim and only the rows of newly added demands are computed (tree
 // walks, path materialization). The derived indexes
-// (InstsOf/GroupInsts/EdgeInsts) and the conflict clique cover embed
-// instance ids, which renumber on any removal, so they are repacked by
+// (InstsOf/GroupInsts/EdgeInsts, the first and last of which double as
+// the conflict clique cover) embed instance ids, which renumber on any
+// removal, so they are repacked by
 // the same linear two-pass bucket builds a fresh compile uses — cheap
 // next to the per-row tree walks the copy avoids.
 //

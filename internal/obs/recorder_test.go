@@ -18,7 +18,7 @@ func TestRecorderClassesAndBounds(t *testing.T) {
 		rq.Finish(int64(time.Millisecond), "")
 	}
 	slow := r.Begin("slow-1", "solve")
-	slow.Finish(int64(20 * time.Millisecond), "")
+	slow.Finish(int64(20*time.Millisecond), "")
 	bad := r.Begin("bad-1", "solve")
 	bad.Finish(int64(time.Millisecond), "boom")
 

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treesched/internal/core"
@@ -285,6 +286,10 @@ type Engine struct {
 	// joined.
 	solveGate   func(key string)
 	compileGate func(hash string)
+	// compiles counts core.Compile calls that populated the compiled
+	// cache. Misses also count coalesced followers and lost-race
+	// leaders; this counts only the compilations themselves.
+	compiles atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -840,6 +845,7 @@ func (e *Engine) compiledFor(ctx context.Context, rq *obs.Req, hash string, mate
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		c.SetCompileWorkers(e.cfg.CompileWorkers)
+		e.compiles.Add(1)
 		e.compiled.add(hash, c)
 		return c, nil
 	})

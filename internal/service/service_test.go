@@ -298,8 +298,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if m.Requests != 32 {
 		t.Errorf("requests = %d, want 32", m.Requests)
 	}
-	if m.CompiledMisses > 4 {
-		t.Errorf("compiled %d times for 2 distinct problems", m.CompiledMisses)
+	// Compiled-cache misses also count coalesced followers and
+	// lost-race leaders, so they bound nothing; each distinct problem
+	// must be compiled exactly once.
+	if n := e.compiles.Load(); n != 2 {
+		t.Errorf("compiled %d times for 2 distinct problems", n)
 	}
 }
 
