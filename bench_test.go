@@ -56,7 +56,7 @@ func BenchmarkSolveTreeUnit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveTreeUnit(p, treesched.Options{Seed: uint64(i)}); err != nil {
+		if _, _, err := treesched.Solve(p, "tree-unit", treesched.Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkSolveArbitrary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveArbitrary(p, treesched.Options{Seed: uint64(i)}); err != nil {
+		if _, _, err := treesched.Solve(p, "arbitrary", treesched.Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func BenchmarkSolveLineUnit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveLineUnit(p, treesched.Options{Seed: uint64(i)}); err != nil {
+		if _, _, err := treesched.Solve(p, "line-unit", treesched.Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkSolveDistributedUnit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveDistributedUnit(p, treesched.Options{Seed: uint64(i)}); err != nil {
+		if _, _, err := treesched.Solve(p, "dist-unit", treesched.Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkSolveSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveSequential(p, treesched.Options{}); err != nil {
+		if _, _, err := treesched.Solve(p, "sequential", treesched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkSolveGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := treesched.SolveGreedy(p); err != nil {
+		if _, _, err := treesched.Solve(p, "greedy", treesched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

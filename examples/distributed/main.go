@@ -24,11 +24,11 @@ func main() {
 			N: n, Trees: 3, Demands: 40, Unit: true,
 		}, rng)
 
-		central, err := treesched.SolveTreeUnit(p, treesched.Options{Epsilon: 0.25, Seed: 1})
+		central, _, err := treesched.Solve(p, "tree-unit", treesched.Options{Epsilon: 0.25, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		distrib, err := treesched.SolveDistributedUnit(p, treesched.Options{Epsilon: 0.25, Seed: 1})
+		_, distrib, err := treesched.Solve(p, "dist-unit", treesched.Options{Epsilon: 0.25, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,19 +23,19 @@ func main() {
 		PMin: 1, PMax: 20,
 	}, rng)
 
-	ours, err := treesched.SolveLineUnit(p, treesched.Options{Epsilon: 0.25, Seed: 9})
+	ours, _, err := treesched.Solve(p, "line-unit", treesched.Options{Epsilon: 0.25, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ps, err := treesched.SolvePanconesiSozio(p, treesched.Options{Epsilon: 0.25, Seed: 9})
+	ps, _, err := treesched.Solve(p, "ps", treesched.Options{Epsilon: 0.25, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := treesched.SolveSequentialLine(p, treesched.Options{})
+	seq, _, err := treesched.Solve(p, "seq-line", treesched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy, err := treesched.SolveGreedy(p)
+	greedy, _, err := treesched.Solve(p, "greedy", treesched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 		},
 	}
 
-	res, err := treesched.SolveTreeUnit(p, treesched.Options{Epsilon: 0.25, Seed: 42})
+	res, _, err := treesched.Solve(p, "tree-unit", treesched.Options{Epsilon: 0.25, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 	fmt.Printf("certificate: OPT ≤ %.2f, so this run is within %.2fx of optimal (worst-case bound %.2f)\n",
 		res.DualUB, res.CertifiedRatio, res.Bound)
 
-	opt, err := treesched.SolveExact(p, 0)
+	opt, _, err := treesched.Solve(p, "exact", treesched.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

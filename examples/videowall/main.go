@@ -72,7 +72,7 @@ func main() {
 		})
 	}
 
-	res, err := treesched.SolveArbitrary(p, treesched.Options{Epsilon: 0.25, Seed: 3})
+	res, _, err := treesched.Solve(p, "arbitrary", treesched.Options{Epsilon: 0.25, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func main() {
 	fmt.Printf("\ncertificate: no admission plan exceeds value %.1f (this one is within %.2fx)\n",
 		res.DualUB, res.CertifiedRatio)
 
-	if opt, err := treesched.SolveExact(p, 0); err == nil {
+	if opt, _, err := treesched.Solve(p, "exact", treesched.Options{}); err == nil {
 		fmt.Printf("exact optimum: %.0f (achieved ratio %.3f)\n", opt.Profit, opt.Profit/res.Profit)
 	}
 }

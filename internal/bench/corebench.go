@@ -216,31 +216,15 @@ type CoreObsEntry struct {
 	SolveLatency obs.Summary `json:"solve_latency"`
 }
 
-// coreSolve dispatches one solve on a compiled problem. It mirrors the
-// service registry for the tracked algorithms only; options are fixed so
-// every measurement exercises the identical deterministic run.
+// coreSolve runs algo's core.Algorithms row on a compiled problem with
+// fixed options, so every measurement exercises the identical
+// deterministic run.
 func coreSolve(c *core.Compiled, algo string) error {
-	return coreSolveOpts(c, algo, core.Options{Seed: 1})
-}
-
-// coreSolveOpts is coreSolve with explicit options (the telemetry tier
-// attaches Options.Telemetry).
-func coreSolveOpts(c *core.Compiled, algo string, opts core.Options) error {
-	var err error
-	switch algo {
-	case "tree-unit":
-		_, err = c.TreeUnit(opts)
-	case "line-unit":
-		_, err = c.LineUnit(opts)
-	case "narrow":
-		_, err = c.NarrowOnly(opts)
-	case "arbitrary":
-		_, err = c.Arbitrary(opts)
-	case "dist-unit":
-		_, err = c.DistributedUnit(opts)
-	default:
-		err = fmt.Errorf("bench: untracked core algo %q", algo)
+	a, ok := core.Algorithms[algo]
+	if !ok {
+		return fmt.Errorf("bench: unknown core algo %q", algo)
 	}
+	_, _, err := a.Run(c, core.Options{Seed: 1})
 	return err
 }
 
@@ -394,7 +378,8 @@ func obsBench(pair CoreObsPair, quick bool) (*CoreObsEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %v", pair.Scenario, err)
 	}
-	// Warm the lazy model and scratch pools out of the measurement.
+	// Warm the lazy model and scratch pools out of the measurement (and
+	// validate pair.Algo before run indexes the table with it).
 	if err := coreSolve(c, pair.Algo); err != nil {
 		return nil, fmt.Errorf("bench: %s/%s warmup: %v", pair.Scenario, pair.Algo, err)
 	}
@@ -409,7 +394,7 @@ func obsBench(pair CoreObsPair, quick bool) (*CoreObsEntry, error) {
 	hist := new(obs.Histogram)
 	run := func(opts core.Options) (int64, *obs.Trace, error) {
 		begin := time.Now()
-		if err := coreSolveOpts(c, pair.Algo, opts); err != nil {
+		if _, _, err := core.Algorithms[pair.Algo].Run(c, opts); err != nil {
 			return 0, nil, err
 		}
 		ns := time.Since(begin).Nanoseconds()

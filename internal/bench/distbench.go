@@ -148,21 +148,13 @@ func (s *goroutineSampler) stopAndPeak() int {
 // measuring wall time and peak goroutines. The sampler itself and the
 // test harness contribute a few goroutines — the gate allows for them.
 func distSolve(c *core.Compiled, algo string, distWorkers int) (*core.DistributedResult, time.Duration, int, error) {
-	opts := core.Options{Seed: 1, DistWorkers: distWorkers}
-	var run func(core.Options) (*core.DistributedResult, error)
-	switch algo {
-	case "dist-unit":
-		run = c.DistributedUnit
-	case "dist-narrow":
-		run = c.DistributedNarrow
-	case "dist-ps":
-		run = c.DistributedPanconesiSozio
-	default:
+	a, ok := core.Algorithms[algo]
+	if !ok || !a.Distributed {
 		return nil, 0, 0, fmt.Errorf("bench: untracked dist algo %q", algo)
 	}
 	sampler := startGoroutineSampler()
 	begin := time.Now()
-	r, err := run(opts)
+	_, r, err := a.Run(c, core.Options{Seed: 1, DistWorkers: distWorkers})
 	elapsed := time.Since(begin)
 	peak := sampler.stopAndPeak()
 	return r, elapsed, peak, err

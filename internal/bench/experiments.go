@@ -105,7 +105,7 @@ func E1TreeUnitRatios(cfg Config) *Table {
 				mustFeasible(p, res)
 				bound = res.Bound
 				st.addCert(res.CertifiedRatio)
-				if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+				if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 					st.addTrue(opt.Profit / res.Profit)
 				}
 			}
@@ -189,7 +189,7 @@ func E3Narrow(cfg Config) *Table {
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
 			if len(res.Trace.StepsPerStage) > 0 {
@@ -239,10 +239,10 @@ func E4Arbitrary(cfg Config) *Table {
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, err := core.Greedy(p, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -276,7 +276,7 @@ func E5LineUnit(cfg Config) *Table {
 		p := gen.LineProblem(gen.LineConfig{
 			Slots: 32, Resources: 2, Demands: 14, Unit: true, MaxProc: 8,
 		}, rng)
-		opt, optErr := core.Exact(p, 4_000_000)
+		opt, optErr := core.Exact(p, core.Options{MaxNodes: 4_000_000})
 		for _, run := range []struct {
 			acc *accum
 			f   func() (*core.Result, error)
@@ -338,10 +338,10 @@ func E6LineArbitrary(cfg Config) *Table {
 			mustFeasible(p, r)
 			bound = r.Bound
 			st.addCert(r.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && r.Profit > 0 {
+			if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && r.Profit > 0 {
 				st.addTrue(opt.Profit / r.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, err := core.Greedy(p, core.Options{})
 			if err != nil {
 				panic(err)
 			}

@@ -115,7 +115,7 @@ func E9Sequential(cfg Config) *Table {
 			mustFeasible(p, res)
 			bound = res.Bound
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
 		}
@@ -134,7 +134,7 @@ func E9Sequential(cfg Config) *Table {
 		}
 		mustFeasible(p, res)
 		st.addCert(res.CertifiedRatio)
-		if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+		if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 			st.addTrue(opt.Profit / res.Profit)
 		}
 	}
@@ -183,10 +183,10 @@ func E10Capacitated(cfg Config) *Table {
 			}
 			mustFeasible(p, res)
 			st.addCert(res.CertifiedRatio)
-			if opt, err := core.Exact(p, 4_000_000); err == nil && res.Profit > 0 {
+			if opt, err := core.Exact(p, core.Options{MaxNodes: 4_000_000}); err == nil && res.Profit > 0 {
 				st.addTrue(opt.Profit / res.Profit)
 			}
-			g, err := core.Greedy(p)
+			g, err := core.Greedy(p, core.Options{})
 			if err != nil {
 				panic(err)
 			}

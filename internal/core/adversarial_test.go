@@ -37,7 +37,7 @@ func TestAdversarialHubStaysWithinBound(t *testing.T) {
 		}
 		// Exact comparison: all demands pairwise conflict per network, so
 		// OPT is easy to eyeball and B&B is fast.
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func TestCompiledSolveMany(t *testing.T) {
 	// Mixing in other algorithms must not perturb subsequent solves.
 	// (NarrowOnly may legitimately reject the mixed-height workload.)
 	c.NarrowOnly(Options{}) // nolint:errcheck
-	if _, err := c.Greedy(); err != nil {
+	if _, err := c.Greedy(Options{}); err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
 	again, err := c.Arbitrary(Options{Seed: 1})

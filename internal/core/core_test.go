@@ -52,7 +52,7 @@ func TestTreeUnitAgainstExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestLineUnitAgainstExactAndPS(t *testing.T) {
 		if err := verify.Solution(p, ps.Selected); err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestArbitraryLineEndToEnd(t *testing.T) {
 		if res.Bound > 23/(1-0.25)+1e-6 {
 			t.Fatalf("trial %d: line arbitrary bound %.3f too large", trial, res.Bound)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err == nil && opt.Profit > res.DualUB+1e-6 {
 			t.Fatalf("trial %d: OPT above combined dual UB", trial)
 		}
@@ -251,7 +251,7 @@ func TestSequentialEndToEnd(t *testing.T) {
 		if err := CheckInterference(res.Model, res.Trace); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestExactMatchesBruteForceTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 6; trial++ {
 		p := gen.TreeProblem(gen.TreeConfig{N: 6, Trees: 1, Demands: 4, Unit: true}, rng)
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestExactMatchesBruteForceTiny(t *testing.T) {
 func TestExactNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := gen.TreeProblem(gen.TreeConfig{N: 30, Trees: 3, Demands: 40, Unit: true}, rng)
-	if _, err := Exact(p, 10); err == nil {
+	if _, err := Exact(p, Options{MaxNodes: 10}); err == nil {
 		t.Fatal("node budget not enforced")
 	}
 }
@@ -317,7 +317,7 @@ func TestGreedyFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {
 		p := gen.TreeProblem(gen.TreeConfig{N: 15, Trees: 2, Demands: 12, HMin: 0.2, HMax: 1}, rng)
-		res, err := Greedy(p)
+		res, err := Greedy(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestPaperFigure2Golden(t *testing.T) {
 	// Unit heights: the three demands pairwise share edge ⟨4,5⟩, so the
 	// optimum picks exactly the max-profit demand (profit 3).
 	p := gen.PaperFigure2Problem(true)
-	opt, err := Exact(p, 0)
+	opt, err := Exact(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestPaperFigure2Golden(t *testing.T) {
 	// Heights 0.4/0.7/0.3: first and third demands fit together (0.7 on
 	// the shared edge), so the optimum is 3+1 = 4.
 	p2 := gen.PaperFigure2Problem(false)
-	opt2, err := Exact(p2, 0)
+	opt2, err := Exact(p2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestPaperFigure1Golden(t *testing.T) {
 	// Figure 1: {A,C} and {B,C} feasible, {A,B} not ⇒ optimum is {A,C}
 	// with profit 9 under our profits (A=5, B=6, C=4: {B,C}=10).
 	p := gen.PaperFigure1Problem()
-	opt, err := Exact(p, 0)
+	opt, err := Exact(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

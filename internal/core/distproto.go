@@ -21,11 +21,10 @@ import (
 // The per-processor body is a *resumable state machine* (a dist.Proc):
 // each Step call consumes the previous collective's result and produces
 // the next collective request. Written this way, one protocol text runs
-// on both dist engines — the sharded worker pool (dist.RunProcs, the
-// default, which carries 10^5-processor networks on GOMAXPROCS
-// goroutines) and the goroutine-per-processor runtime
-// (dist.RunProcsBlocking, selected by Options.DistWorkers < 0, the
-// reference semantics and benchmark anchor). The collective sequence is
+// on both engines of dist.Run — the sharded worker pool (the default,
+// which carries 10^5-processor networks on GOMAXPROCS goroutines) and
+// the goroutine-per-processor runtime (selected by Options.DistWorkers
+// < 0, the reference semantics and benchmark anchor). The collective sequence is
 // identical either way, so Stats and selections are byte-identical
 // across engines — a tested invariant, like the centralized/distributed
 // selection equality.
@@ -175,12 +174,7 @@ func (cfg *distProtocol) run(p *instance.Problem, m *model.Model) (*DistributedR
 		rl = &obs.RoundLog{}
 	}
 	sp := tel.Begin("protocol")
-	var stats dist.Stats
-	if cfg.opts.DistWorkers < 0 {
-		stats = dist.RunProcsBlockingObserved(tr, mk, rl)
-	} else {
-		stats = dist.RunProcsObserved(tr, cfg.opts.DistWorkers, mk, rl)
-	}
+	stats := dist.Run(tr, cfg.opts.DistWorkers, mk, rl)
 	if tel != nil {
 		tel.Add(sp, "rounds", int64(stats.Rounds))
 		tel.Add(sp, "aggregations", int64(stats.Aggregations))

@@ -20,27 +20,18 @@ func TestEmptyDemandSet(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (*Result, error){
-		"tree-unit":  func() (*Result, error) { return TreeUnit(p, Options{}) },
-		"sequential": func() (*Result, error) { return Sequential(p, Options{}) },
-		"arbitrary":  func() (*Result, error) { return Arbitrary(p, Options{}) },
-		"exact":      func() (*Result, error) { return Exact(p, 0) },
-		"greedy":     func() (*Result, error) { return Greedy(p) },
-	} {
-		res, err := run()
+	c, err := Compile(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tree-unit", "sequential", "arbitrary", "exact", "greedy", "dist-unit"} {
+		res, _, err := Algorithms[name].Run(c, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Profit != 0 || len(res.Selected) != 0 {
 			t.Fatalf("%s: non-empty result on empty problem", name)
 		}
-	}
-	d, err := DistributedUnit(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Profit != 0 {
-		t.Fatal("distributed: non-empty result on empty problem")
 	}
 }
 
@@ -64,7 +55,7 @@ func TestAllDemandsIdentical(t *testing.T) {
 	if len(res.Selected) != 1 {
 		t.Fatalf("identical overlapping demands: %d selected, want 1", len(res.Selected))
 	}
-	opt, err := Exact(p, 0)
+	opt, err := Exact(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +78,7 @@ func TestSpanningDemandOnPathTree(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Exact(p, 0)
+	opt, err := Exact(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

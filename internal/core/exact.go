@@ -7,7 +7,6 @@ import (
 
 	"treesched/internal/instance"
 	"treesched/internal/lp"
-	"treesched/internal/obs"
 )
 
 // ErrExactTooLarge is returned when branch and bound exceeds its node
@@ -16,30 +15,26 @@ var ErrExactTooLarge = fmt.Errorf("core: exact solver exceeded its node budget")
 
 // Exact computes the optimal solution by branch and bound, for measuring
 // true approximation ratios on small instances (the problem is NP-hard —
-// §1 — so this cannot scale). maxNodes caps the search-tree size; 0 means
-// 50 million.
-func Exact(p *instance.Problem, maxNodes int64) (*Result, error) {
-	c, err := Compile(p, 0)
+// §1 — so this cannot scale). opts.MaxNodes caps the search-tree size;
+// 0 means 50 million. Epsilon and Seed are ignored.
+func Exact(p *instance.Problem, opts Options) (*Result, error) {
+	c, err := Compile(p, opts.DecompKind)
 	if err != nil {
 		return nil, err
 	}
-	return c.Exact(maxNodes)
+	return c.Exact(opts)
 }
 
 // Exact is the compiled-model form of the package-level Exact.
-func (c *Compiled) Exact(maxNodes int64) (*Result, error) {
-	return c.ExactTraced(maxNodes, nil)
-}
-
-// ExactTraced is Exact with a phase timeline recorded on tel (Exact
-// takes no Options, so the telemetry hook is explicit here). A nil tel
-// is exactly Exact.
-func (c *Compiled) ExactTraced(maxNodes int64, tel *obs.Trace) (*Result, error) {
+func (c *Compiled) Exact(opts Options) (*Result, error) {
+	opts = c.prep(opts)
+	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {
 		return nil, err
 	}
 	m := sm.m
+	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 50_000_000
 	}
@@ -139,23 +134,19 @@ func (c *Compiled) ExactTraced(maxNodes int64, tel *obs.Trace) (*Result, error) 
 
 // Greedy is the naive baseline: instances by descending profit, added when
 // they fit. No approximation guarantee; used for experiment context.
-func Greedy(p *instance.Problem) (*Result, error) {
-	c, err := Compile(p, 0)
+// Epsilon and Seed are ignored.
+func Greedy(p *instance.Problem, opts Options) (*Result, error) {
+	c, err := Compile(p, opts.DecompKind)
 	if err != nil {
 		return nil, err
 	}
-	return c.Greedy()
+	return c.Greedy(opts)
 }
 
 // Greedy is the compiled-model form of the package-level Greedy.
-func (c *Compiled) Greedy() (*Result, error) {
-	return c.GreedyTraced(nil)
-}
-
-// GreedyTraced is Greedy with a phase timeline recorded on tel (Greedy
-// takes no Options, so the telemetry hook is explicit here). A nil tel
-// is exactly Greedy.
-func (c *Compiled) GreedyTraced(tel *obs.Trace) (*Result, error) {
+func (c *Compiled) Greedy(opts Options) (*Result, error) {
+	opts = c.prep(opts)
+	tel := opts.Telemetry
 	sm, err := telModel(tel, c.fullModel)
 	if err != nil {
 		return nil, err

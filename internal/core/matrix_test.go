@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"treesched/internal/gen"
-	"treesched/internal/instance"
 	"treesched/internal/treedecomp"
 	"treesched/internal/verify"
 )
@@ -22,25 +21,10 @@ func TestAlgorithmTopologyMatrix(t *testing.T) {
 		gen.ShapeRandom, gen.ShapeBinary, gen.ShapeCaterpillar,
 		gen.ShapePath, gen.ShapeStar, gen.ShapeSpider,
 	}
-	type algo struct {
+	algos := []struct {
 		name string
 		unit bool
-		run  func(p *instanceProblemT, seed uint64) (*Result, error)
-	}
-	algos := []algo{
-		{"tree-unit", true, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return TreeUnit(p, Options{Epsilon: 0.25, Seed: s})
-		}},
-		{"sequential", true, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Sequential(p, Options{})
-		}},
-		{"arbitrary", false, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Arbitrary(p, Options{Epsilon: 0.25, Seed: s})
-		}},
-		{"greedy", false, func(p *instanceProblemT, s uint64) (*Result, error) {
-			return Greedy(p)
-		}},
-	}
+	}{{"tree-unit", true}, {"sequential", true}, {"arbitrary", false}, {"greedy", false}}
 	rng := rand.New(rand.NewSource(99))
 	for _, shape := range shapes {
 		for _, a := range algos {
@@ -52,7 +36,11 @@ func TestAlgorithmTopologyMatrix(t *testing.T) {
 					cfg.HMin, cfg.HMax = 0.1, 1.0
 				}
 				p := gen.TreeProblem(cfg, rng)
-				res, err := a.run(p, 7)
+				c, err := Compile(p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _, err := Algorithms[a.name].Run(c, Options{Epsilon: 0.25, Seed: 7})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,9 +57,6 @@ func TestAlgorithmTopologyMatrix(t *testing.T) {
 		}
 	}
 }
-
-// instanceProblemT keeps the matrix signatures readable.
-type instanceProblemT = instance.Problem
 
 // TestDecompositionKindMatrix runs TreeUnit under all three decomposition
 // kinds on all shapes — the framework must stay correct (only ∆ and the

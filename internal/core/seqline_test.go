@@ -45,7 +45,7 @@ func TestSequentialLineAgainstExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exact(p, 0)
+		opt, err := Exact(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,6 +59,9 @@ type Options struct {
 	// feeds the priority function), but all certificates still hold.
 	// Multi-stage schedules only. Ignored by centralized drivers.
 	FixedRounds bool
+	// MaxNodes caps the branch-and-bound search of Exact (0 = 50
+	// million nodes). Ignored by every other solver.
+	MaxNodes int64
 	// DistWorkers selects the BSP engine of the distributed drivers:
 	// ≥ 0 runs the sharded worker pool (0 = one worker per GOMAXPROCS
 	// core — the default, which carries 100k-processor networks on a
@@ -171,7 +174,7 @@ func runPhases(name string, sm *solverModel, rule lp.Rule, sched Schedule, opts 
 // distributed (7+ε)-approximation for unit-height demands on tree
 // networks, using the ideal tree decomposition (∆=6) and the multi-stage
 // schedule (λ = 1−ε). This entry point uses the fast centralized driver;
-// see DistributedRun for the goroutine message-passing driver.
+// see DistributedUnit for the message-passing driver.
 func TreeUnit(p *instance.Problem, opts Options) (*Result, error) {
 	c, err := Compile(p, opts.DecompKind)
 	if err != nil {

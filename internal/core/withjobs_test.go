@@ -16,26 +16,6 @@ import (
 // Compile + solve of the same effective instance, for every algorithm
 // applicable to the problem class.
 
-// wjSolvers maps algorithm names to compiled solves returning a
-// canonical, comparable form.
-var wjSolvers = map[string]func(c *Compiled, opts Options) (*Result, error){
-	"tree-unit":  (*Compiled).TreeUnit,
-	"line-unit":  (*Compiled).LineUnit,
-	"narrow":     (*Compiled).NarrowOnly,
-	"arbitrary":  (*Compiled).Arbitrary,
-	"sequential": (*Compiled).Sequential,
-	"seq-line":   (*Compiled).SequentialLine,
-	"ps":         (*Compiled).PanconesiSozioUnit,
-	"greedy":     func(c *Compiled, _ Options) (*Result, error) { return c.Greedy() },
-	"dist-unit": func(c *Compiled, opts Options) (*Result, error) {
-		dr, err := c.DistributedUnit(opts)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Result, nil
-	},
-}
-
 // canonical marshals the deterministic face of a Result: everything a
 // serving response would carry. Byte equality of two canonical forms is
 // the test's identity notion.
@@ -61,36 +41,31 @@ func canonical(t *testing.T, r *Result) []byte {
 }
 
 type wjConfig struct {
-	name  string
-	algos []string
-	gen   func(demands int, rng *rand.Rand) *instance.Problem
+	name string
+	gen  func(demands int, rng *rand.Rand) *instance.Problem
 }
 
 var wjConfigs = []wjConfig{
 	{
-		name:  "tree-unit",
-		algos: []string{"tree-unit", "sequential", "greedy", "arbitrary", "dist-unit"},
+		name: "tree-unit",
 		gen: func(m int, rng *rand.Rand) *instance.Problem {
 			return gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: m, Unit: true, AccessProb: 0.6}, rng)
 		},
 	},
 	{
-		name:  "line-unit",
-		algos: []string{"line-unit", "ps", "seq-line", "greedy", "arbitrary"},
+		name: "line-unit",
 		gen: func(m int, rng *rand.Rand) *instance.Problem {
 			return gen.LineProblem(gen.LineConfig{Slots: 24, Resources: 2, Demands: m, Unit: true, AccessProb: 0.6}, rng)
 		},
 	},
 	{
-		name:  "tree-capacitated",
-		algos: []string{"arbitrary", "greedy"},
+		name: "tree-capacitated",
 		gen: func(m int, rng *rand.Rand) *instance.Problem {
 			return gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: m, HMin: 0.1, HMax: 1.0, Capacity: 1.5, CapJitter: 0.4, AccessProb: 0.6}, rng)
 		},
 	},
 	{
-		name:  "tree-narrow",
-		algos: []string{"narrow", "greedy", "arbitrary"},
+		name: "tree-narrow",
 		gen: func(m int, rng *rand.Rand) *instance.Problem {
 			return gen.TreeProblem(gen.TreeConfig{N: 20, Trees: 2, Demands: m, HMin: 0.05, HMax: 0.5, AccessProb: 0.6}, rng)
 		},
@@ -100,9 +75,18 @@ var wjConfigs = []wjConfig{
 // TestWithJobsEquivalence fuzzes event sequences over every config × 3
 // seeds: each round applies a random delta through WithJobs and asserts
 // the solve output is byte-identical to a cold Compile + solve of the
-// effective problem, for every applicable algorithm. One round per seed
-// forces churn past the threshold so the fallback path is exercised too.
+// effective problem, for every row of Algorithms that sessions serve.
+// A row that does not apply to the effective problem must fail with the
+// same error both ways. One round per seed forces churn past the
+// threshold so the fallback path is exercised too.
 func TestWithJobsEquivalence(t *testing.T) {
+	var algos []string
+	for _, name := range AlgorithmNames() {
+		if !Algorithms[name].Budgeted {
+			algos = append(algos, name)
+		}
+	}
+	solved := map[string]bool{}
 	for _, cfg := range wjConfigs {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(cfg.name, func(t *testing.T) {
@@ -117,10 +101,9 @@ func TestWithJobsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The delta path requires a built model; a first solve
-				// (any algorithm) builds it, as a session's first resolve
-				// would.
-				if _, err := wjSolvers[cfg.algos[0]](c, Options{Seed: uint64(seed)}); err != nil {
+				// The delta path requires a built model, as a session's
+				// first resolve would have ensured.
+				if _, err := c.Model(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -156,32 +139,46 @@ func TestWithJobsEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("round %d: reference compile: %v", round, err)
 					}
-					for _, algo := range cfg.algos {
-						got, err := wjSolvers[algo](nc, Options{Seed: uint64(seed)})
+					opts := Options{Seed: uint64(seed)}
+					for _, algo := range algos {
+						run := Algorithms[algo].Run
+						want, wantNet, wantErr := run(ref, opts)
+						got, gotNet, err := run(nc, opts)
+						if wantErr != nil {
+							if err == nil || err.Error() != wantErr.Error() {
+								t.Fatalf("round %d: %s: delta error %v, reference error %v", round, algo, err, wantErr)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatalf("round %d: %s on delta: %v", round, algo, err)
-						}
-						want, err := wjSolvers[algo](ref, Options{Seed: uint64(seed)})
-						if err != nil {
-							t.Fatalf("round %d: %s on reference: %v", round, algo, err)
 						}
 						g, w := canonical(t, got), canonical(t, want)
 						if string(g) != string(w) {
 							t.Fatalf("round %d: %s diverged (incremental=%t)\n got %s\nwant %s",
 								round, algo, nc.Incremental(), g, w)
 						}
+						if wantNet != nil && gotNet.Net != wantNet.Net {
+							t.Fatalf("round %d: %s network cost diverged: %+v vs %+v", round, algo, gotNet.Net, wantNet.Net)
+						}
 						// The pooled re-solve must reproduce itself.
-						again, err := wjSolvers[algo](nc, Options{Seed: uint64(seed)})
+						again, _, err := run(nc, opts)
 						if err != nil {
 							t.Fatalf("round %d: %s re-solve: %v", round, algo, err)
 						}
 						if string(canonical(t, again)) != string(g) {
 							t.Fatalf("round %d: %s not deterministic on pooled scratch", round, algo)
 						}
+						solved[algo] = true
 					}
 					c = nc
 				}
 			})
+		}
+	}
+	for _, algo := range algos {
+		if !solved[algo] {
+			t.Errorf("%s never applied to any config: its delta path went unchecked", algo)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 // Package dist is a synchronous message-passing (BSP) simulator: the
 // execution substrate of the paper's distributed protocols (§2 "the
-// distributed setting", §5 "Distributed Implementation"). Every processor
-// runs as one goroutine; processors advance in barrier-synchronized
-// rounds, and in each round a processor may hand one payload to the
-// transport, which delivers it to every neighbor in the communication
-// graph before any processor starts the next round.
+// distributed setting", §5 "Distributed Implementation"). Run executes
+// one resumable processor (Proc) per node; processors advance in
+// barrier-synchronized rounds, and in each round a processor may hand
+// one payload to the transport, which delivers it to every neighbor in
+// the communication graph before any processor starts the next round.
+// Run has two engines with identical observable behaviour: the sharded
+// worker pool of engine.go, and the goroutine-per-processor reference
+// runtime of this file.
 //
 // # Cost accounting
 //
@@ -80,23 +83,23 @@ type Stats struct {
 	Entries int64
 }
 
-// API is a processor's handle to the runtime, valid only inside the body
-// passed to Run.
-type API struct {
+// handle is a processor's handle to the blocking runtime, valid only
+// inside the body passed to runBlocking.
+type handle struct {
 	id int
 	c  *coordinator
 }
 
 // ID returns the processor id (an index into the adjacency lists; for the
 // scheduling protocols, the demand/processor id).
-func (a *API) ID() int { return a.id }
+func (a *handle) ID() int { return a.id }
 
 // Broadcast sends payload to every neighbor and returns the messages
 // received this round, in ascending sender order. It blocks until every
 // live processor has entered the round. The returned slice and the
 // received payloads are only valid until the processor's next collective
 // call.
-func (a *API) Broadcast(payload any) []Message {
+func (a *handle) Broadcast(payload any) []Message {
 	if payload == nil {
 		panic("dist: Broadcast requires a payload; use Exchange(nil) to stay silent")
 	}
@@ -108,7 +111,7 @@ func (a *API) Broadcast(payload any) []Message {
 // every neighbor if non-nil and nothing otherwise, and returns the
 // messages received. Exchange(nil) is how a processor with nothing to say
 // stays in lockstep with its peers.
-func (a *API) Exchange(payload any) []Message {
+func (a *handle) Exchange(payload any) []Message {
 	msgs, _ := a.c.collective(a.id, opExchange, payload, false)
 	return msgs
 }
@@ -117,30 +120,16 @@ func (a *API) Exchange(payload any) []Message {
 // returns true iff any live processor voted true this round. Every live
 // processor must call Aggregate in the same round (the protocols use it
 // as their loop-termination test).
-func (a *API) Aggregate(vote bool) bool {
+func (a *handle) Aggregate(vote bool) bool {
 	_, r := a.c.collective(a.id, opAggregate, nil, vote)
 	return r
 }
 
-// Run executes body once per processor of the communication graph adj
-// (adjacency lists over processor ids) on the in-process goroutine
-// transport and returns the measured network cost.
-func Run(adj [][]int32, body func(*API)) Stats {
-	return RunOn(NewLocalTransport(adj), body)
-}
-
-// RunOn executes body once per processor on an arbitrary Transport.
-func RunOn(tr Transport, body func(*API)) Stats {
-	return RunOnObserved(tr, body, nil)
-}
-
-// RunOnObserved is RunOn with per-superstep telemetry: when rl is
-// non-nil, every completed collective appends one obs.RoundSample
-// (kind, messages, entries, and the wall time since the previous
-// round's completion). Sampling never alters the execution — Stats and
-// every observation stream are identical with rl nil or not — and a
-// nil rl costs one pointer check per round.
-func RunOnObserved(tr Transport, body func(*API), rl *obs.RoundLog) Stats {
+// runBlocking executes body once per processor of tr, each on its own
+// goroutine, with every collective a barrier on one coordinator: the
+// reference runtime behind Run's workers < 0. A non-nil rl receives one
+// round sample per completed collective.
+func runBlocking(tr Transport, body func(*handle), rl *obs.RoundLog) Stats {
 	n := tr.NumNodes()
 	if n == 0 {
 		return Stats{}
@@ -153,7 +142,7 @@ func RunOnObserved(tr Transport, body func(*API), rl *obs.RoundLog) Stats {
 		go func(u int) {
 			defer wg.Done()
 			defer c.depart(u)
-			body(&API{id: u, c: c})
+			body(&handle{id: u, c: c})
 		}(u)
 	}
 	wg.Wait()

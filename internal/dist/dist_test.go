@@ -24,6 +24,12 @@ func ring(n int) [][]int32 {
 	return adj
 }
 
+// runAdj runs body on the blocking runtime over the communication graph
+// adj (adjacency lists over processor ids).
+func runAdj(adj [][]int32, body func(*handle)) Stats {
+	return runBlocking(NewLocalTransport(adj), body, nil)
+}
+
 // complete returns the complete graph on n processors.
 func complete(n int) [][]int32 {
 	adj := make([][]int32, n)
@@ -57,7 +63,7 @@ func TestDeterminism(t *testing.T) {
 	const n, rounds = 9, 12
 	run := func() (Stats, []int64) {
 		sums := make([]int64, n)
-		stats := Run(ring(n), func(api *API) {
+		stats := runAdj(ring(n), func(api *handle) {
 			id := api.ID()
 			var sum int64
 			for r := 0; r < rounds; r++ {
@@ -101,7 +107,7 @@ func TestDeterminism(t *testing.T) {
 func TestBarrierLockstep(t *testing.T) {
 	const n, rounds = 8, 20
 	errs := make([]error, n)
-	Run(complete(n), func(api *API) {
+	runAdj(complete(n), func(api *handle) {
 		id := api.ID()
 		for r := 0; r < rounds; r++ {
 			stagger(id, r)
@@ -136,7 +142,7 @@ func TestBarrierLockstep(t *testing.T) {
 func TestAggregateSemantics(t *testing.T) {
 	const n = 6
 	results := make([][]bool, n)
-	stats := Run(complete(n), func(api *API) {
+	stats := runAdj(complete(n), func(api *handle) {
 		id := api.ID()
 		// Round r: only processor r votes true; the last round is
 		// unanimous false and must short-circuit every loop together.
@@ -169,7 +175,7 @@ func TestDepartedProcessorsLeaveTheBarrier(t *testing.T) {
 	const n = 5
 	counts := make([][]int, n)
 	soloFalse, soloTrue := true, false
-	stats := Run(complete(n), func(api *API) {
+	stats := runAdj(complete(n), func(api *handle) {
 		id := api.ID()
 		// Processor u survives u+1 exchange rounds, then departs; the
 		// longest-lived processor follows with aggregations.
@@ -217,7 +223,7 @@ func TestDepartedProcessorsLeaveTheBarrier(t *testing.T) {
 func TestAccounting(t *testing.T) {
 	adj := [][]int32{{1}, {0, 2}, {1}} // path 0-1-2
 	const rounds = 4
-	stats := Run(adj, func(api *API) {
+	stats := runAdj(adj, func(api *handle) {
 		p := &idsPayload{Ids: []int32{1, 2}}
 		for r := 0; r < rounds; r++ {
 			api.Broadcast(p)
@@ -241,10 +247,10 @@ func TestAccounting(t *testing.T) {
 // TestEdgeTopologies: zero processors is a no-op; an isolated processor
 // still pays rounds but hears nothing.
 func TestEdgeTopologies(t *testing.T) {
-	if stats := Run(nil, func(api *API) { t.Error("body ran with no processors") }); stats != (Stats{}) {
+	if stats := runAdj(nil, func(api *handle) { t.Error("body ran with no processors") }); stats != (Stats{}) {
 		t.Fatalf("empty run recorded traffic: %+v", stats)
 	}
-	stats := Run([][]int32{{}}, func(api *API) {
+	stats := runAdj([][]int32{{}}, func(api *handle) {
 		if in := api.Broadcast(&idsPayload{Ids: []int32{7}}); len(in) != 0 {
 			t.Errorf("isolated processor received %d messages", len(in))
 		}
@@ -262,7 +268,7 @@ func TestEdgeTopologies(t *testing.T) {
 // sorted (Problem.CommGraph emits access-order lists).
 func TestUnsortedAdjacencyIsNormalized(t *testing.T) {
 	adj := [][]int32{{2, 1}, {0, 2}, {1, 0}}
-	Run(adj, func(api *API) {
+	runAdj(adj, func(api *handle) {
 		in := api.Broadcast(&idsPayload{Ids: []int32{int32(api.ID())}})
 		prev := int32(-1)
 		for _, m := range in {

@@ -1,6 +1,6 @@
 package dist
 
-// The sharded worker-pool BSP engine: the scale substrate behind the
+// The sharded worker-pool BSP engine: the scale substrate beside the
 // goroutine-per-processor runtime in dist.go. The blocking runtime is the
 // natural way to *write* a protocol, but at the network sizes where the
 // paper's O(log m) round bounds matter (10^5 processors, cf. the SINR
@@ -38,7 +38,7 @@ package dist
 // # Determinism
 //
 // The engine is observationally identical to running the same Procs on
-// the blocking runtime (RunProcsBlocking), and that equivalence is
+// the blocking runtime (Run with workers < 0), and that equivalence is
 // tested: shards partition the id space contiguously, each worker steps
 // its shard in ascending id order, delivery produces ascending-sender
 // inboxes, and all cross-shard combination (votes, message counts) is
@@ -108,27 +108,45 @@ type Proc interface {
 	Step(in In) Req
 }
 
-// RunProcs executes one Proc per processor of tr's communication graph on
-// the sharded worker-pool engine and returns the measured network cost.
-// workers ≤ 0 defaults to GOMAXPROCS; the engine runs on exactly
-// min(workers, n) goroutines regardless of network size. Stats and every
-// processor's observation stream are identical to RunProcsBlocking(tr, mk)
-// — and so to the goroutine-per-processor runtime — for any worker count.
-func RunProcs(tr Transport, workers int, mk func(u int) Proc) Stats {
-	return RunProcsObserved(tr, workers, mk, nil)
-}
-
-// RunProcsObserved is RunProcs with per-superstep telemetry: a non-nil
-// rl receives one obs.RoundSample per completed collective. The sample
-// sequence (kind, messages, entries) is byte-identical to the one
-// RunOnObserved records for the same protocol — only StepNs, a wall
-// measurement, differs. A nil rl costs one pointer check per round.
-func RunProcsObserved(tr Transport, workers int, mk func(u int) Proc, rl *obs.RoundLog) Stats {
+// Run executes one Proc per processor of tr's communication graph and
+// returns the measured network cost. workers selects the engine, with
+// the meaning core.Options.DistWorkers gives it: ≥ 0 runs the sharded
+// worker pool on exactly min(workers, n) goroutines (0 = GOMAXPROCS)
+// regardless of network size; < 0 runs the goroutine-per-processor
+// reference runtime, which drives each Proc through the blocking
+// coordinator of dist.go — the equivalence-test oracle and the benchmark
+// anchor the pool is measured against. Stats and every processor's
+// observation stream are identical across engines and worker counts.
+//
+// A non-nil rl receives one obs.RoundSample per completed collective;
+// the (kind, messages, entries) sequence is identical across engines —
+// only StepNs, a wall measurement, differs. Sampling never alters the
+// execution, and a nil rl costs one pointer check per round.
+func Run(tr Transport, workers int, mk func(u int) Proc, rl *obs.RoundLog) Stats {
 	n := tr.NumNodes()
 	if n == 0 {
 		return Stats{}
 	}
-	if workers <= 0 {
+	if workers < 0 {
+		return runBlocking(tr, func(h *handle) {
+			p := mk(h.ID())
+			var in In
+			for {
+				req := p.Step(in)
+				switch req.Op {
+				case OpDone:
+					return
+				case OpExchange:
+					in = In{Msgs: h.Exchange(req.Payload)}
+				case OpAggregate:
+					in = In{Agg: h.Aggregate(req.Vote)}
+				default:
+					panic(fmt.Sprintf("dist: invalid OpKind %d", req.Op))
+				}
+			}
+		}, rl)
+	}
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
@@ -138,38 +156,6 @@ func RunProcsObserved(tr Transport, workers int, mk func(u int) Proc, rl *obs.Ro
 	e.observe(rl)
 	e.run()
 	return e.stats
-}
-
-// RunProcsBlocking executes the same resumable processors on the
-// goroutine-per-processor runtime: each Proc is driven by a blocking
-// adapter goroutine through the original coordinator. This is the
-// reference semantics of RunProcs, the equivalence-test oracle, and the
-// benchmark anchor the pool engine is measured against.
-func RunProcsBlocking(tr Transport, mk func(u int) Proc) Stats {
-	return RunProcsBlockingObserved(tr, mk, nil)
-}
-
-// RunProcsBlockingObserved is RunProcsBlocking with the round log of
-// RunOnObserved attached — the observed analogue on the
-// goroutine-per-processor runtime.
-func RunProcsBlockingObserved(tr Transport, mk func(u int) Proc, rl *obs.RoundLog) Stats {
-	return RunOnObserved(tr, func(api *API) {
-		p := mk(api.ID())
-		var in In
-		for {
-			req := p.Step(in)
-			switch req.Op {
-			case OpDone:
-				return
-			case OpExchange:
-				in = In{Msgs: api.Exchange(req.Payload)}
-			case OpAggregate:
-				in = In{Agg: api.Aggregate(req.Vote)}
-			default:
-				panic(fmt.Sprintf("dist: invalid OpKind %d", req.Op))
-			}
-		}
-	}, rl)
 }
 
 // shardState is one worker's private slice of the engine plus its round
@@ -188,7 +174,7 @@ type shardState struct {
 	arena InboxArena // the shard's inbox storage, reused across rounds
 }
 
-// poolEngine is the shared state of one RunProcs execution.
+// poolEngine is the shared state of one pooled Run execution.
 type poolEngine struct {
 	tr  Transport
 	str ShardTransport // tr if it supports sharded delivery, else nil

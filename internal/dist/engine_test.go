@@ -66,12 +66,10 @@ func runMirror(adj [][]int32, rounds, aggRounds, workers int, blocking bool) (St
 		return procs[u]
 	}
 	tr := NewLocalTransport(adj)
-	var stats Stats
 	if blocking {
-		stats = RunProcsBlocking(tr, mk)
-	} else {
-		stats = RunProcs(tr, workers, mk)
+		workers = -1
 	}
+	stats := Run(tr, workers, mk, nil)
 	dig := make([]int64, n)
 	agg := make([]int64, n)
 	for u, p := range procs {
@@ -116,12 +114,12 @@ func TestPoolMatchesBlocking(t *testing.T) {
 }
 
 // TestPoolAdapterMatchesBlockingAPI pins the Proc abstraction against the
-// original blocking *API: the same protocol written both ways records
+// original blocking handle: the same protocol written both ways records
 // identical Stats.
 func TestPoolAdapterMatchesBlockingAPI(t *testing.T) {
 	const n, rounds, aggRounds = 9, 12, 4
 	adj := ring(n)
-	apiStats := Run(adj, func(api *API) {
+	apiStats := runAdj(adj, func(api *handle) {
 		id := api.ID()
 		for r := 0; r < rounds; r++ {
 			if (id+r)%3 == 0 {
@@ -189,12 +187,10 @@ func TestPoolDepartureSemantics(t *testing.T) {
 			return procs[u]
 		}
 		tr := NewLocalTransport(complete(n))
-		var stats Stats
 		if blocking {
-			stats = RunProcsBlocking(tr, mk)
-		} else {
-			stats = RunProcs(tr, workers, mk)
+			workers = -1
 		}
+		stats := Run(tr, workers, mk, nil)
 		heard := make([][]int, n)
 		aggs := make([][]bool, n)
 		for u, p := range procs {
@@ -251,7 +247,7 @@ func TestDepartureVoteRace(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		var departed atomic.Int32
 		results := make([]bool, 2)
-		stats := Run(complete(n), func(api *API) {
+		stats := runAdj(complete(n), func(api *handle) {
 			id := api.ID()
 			stagger(id, trial)
 			if id < 2 {
@@ -297,7 +293,7 @@ func TestDepartureVoteRace(t *testing.T) {
 		mk := func(u int) Proc {
 			return &voteThenDepartProc{id: u, votes: votes}
 		}
-		stats := RunProcs(NewLocalTransport(complete(n)), workers, mk)
+		stats := Run(NewLocalTransport(complete(n)), workers, mk, nil)
 		want := Stats{Aggregations: 2}
 		if stats != want {
 			t.Fatalf("pool workers=%d: stats = %+v, want %+v", workers, stats, want)
@@ -346,7 +342,7 @@ func TestPoolGoroutineBound(t *testing.T) {
 	mk := func(u int) Proc {
 		return &goroutineProbeProc{peak: &peak}
 	}
-	RunProcs(NewLocalTransport(ring(n)), workers, mk)
+	Run(NewLocalTransport(ring(n)), workers, mk, nil)
 	limit := int64(base + workers + 4)
 	if got := peak.Load(); got > limit {
 		t.Fatalf("peak goroutines during pooled run = %d, want ≤ %d (base %d + %d workers + O(1))",

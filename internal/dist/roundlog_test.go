@@ -14,13 +14,10 @@ func runMirrorObserved(adj [][]int32, rounds, aggRounds, workers int, blocking b
 	}
 	tr := NewLocalTransport(adj)
 	rl := new(obs.RoundLog)
-	var stats Stats
 	if blocking {
-		stats = RunProcsBlockingObserved(tr, mk, rl)
-	} else {
-		stats = RunProcsObserved(tr, workers, mk, rl)
+		workers = -1
 	}
-	return stats, rl
+	return Run(tr, workers, mk, rl), rl
 }
 
 // shape strips the wall-clock component of a round log, leaving the

@@ -26,12 +26,13 @@ type Transport interface {
 }
 
 // ShardTransport is the optional Transport extension the worker-pool
-// engine (RunProcs) uses to run delivery shard-parallel: DeliverShard
-// rebuilds only the inboxes of receivers in [lo, hi), writing them into
-// the caller's arena, so W workers can route one round concurrently with
-// no shared mutable state. Implementations must produce exactly the
-// inboxes Deliver would (same messages, same ascending sender order) —
-// the engines' byte-identical-Stats equivalence rests on it.
+// engine (Run with workers ≥ 0) uses to run delivery shard-parallel:
+// DeliverShard rebuilds only the inboxes of receivers in [lo, hi),
+// writing them into the caller's arena, so W workers can route one round
+// concurrently with no shared mutable state. Implementations must
+// produce exactly the inboxes Deliver would (same messages, same
+// ascending sender order) — the engines' byte-identical-Stats
+// equivalence rests on it.
 type ShardTransport interface {
 	Transport
 	// DeliverShard routes one round for receivers u in [lo, hi) only:

@@ -461,8 +461,9 @@ func loadStr(p *atomic.Pointer[string]) string {
 // classifies the record into the rings (recent always; slow when over
 // the threshold; error when errMsg is non-empty), applies span
 // retention, and feeds the OnRecord sink. durNs <= 0 measures from the
-// handle's own start. The handle is recycled — no field may be touched
-// after Finish.
+// handle's own start. The handle must not be used after Finish returns,
+// not even for ID: it goes back to a pool and may already belong to
+// another request. Read anything still needed (e.g. the id) first.
 func (q *Req) Finish(durNs int64, errMsg string) {
 	if q == nil {
 		return

@@ -189,13 +189,14 @@ func TestRecorderConcurrent(t *testing.T) {
 				rq := r.Begin(fmt.Sprintf("w%d-%d", w, i), "solve")
 				rq.SetPhase(PhaseSolve)
 				rq.SetAlgo("tree-unit")
+				id := rq.ID() // the handle is recycled by Finish
 				if i%3 == 0 {
 					rq.Finish(2, "boom") // error class (and slow: durNs > 1)
 				} else {
 					rq.Finish(2, "")
 				}
 				if i%5 == 0 {
-					r.Event("coalesce", rq.ID(), "leader=x")
+					r.Event("coalesce", id, "leader=x")
 				}
 				_ = r.Active()
 			}

@@ -153,6 +153,40 @@ func TestSlowRequestTimeline(t *testing.T) {
 	}
 }
 
+// TestTracedExactGreedySolverSpans: with every request sampled, exact
+// and greedy requests record their solver's own spans (search, select)
+// nested under the request's solve span, like every other algorithm.
+func TestTracedExactGreedySolverSpans(t *testing.T) {
+	e := New(Config{Workers: 1, TraceSample: 1})
+	defer e.Close()
+	p := testProblem(21)
+	for _, tc := range []struct{ algo, span string }{{"exact", "search"}, {"greedy", "select"}} {
+		id := "traced-" + tc.algo
+		if _, err := e.Solve(WithRequestID(context.Background(), id), &Request{Algo: tc.algo, Problem: p}); err != nil {
+			t.Fatalf("%s: %v", tc.algo, err)
+		}
+		rec, ok := e.rec.Lookup(id)
+		if !ok || rec.Trace == nil {
+			t.Fatalf("%s: no sampled record for %s", tc.algo, id)
+		}
+		spans := rec.Trace.Spans
+		nested := false
+		for _, sp := range spans {
+			if sp.Name != tc.span {
+				continue
+			}
+			for par := sp.Parent; par != obs.NoSpan; par = spans[par].Parent {
+				if spans[par].Name == "solve" {
+					nested = true
+				}
+			}
+		}
+		if !nested {
+			t.Fatalf("%s: no %q span under \"solve\"; spans: %+v", tc.algo, tc.span, spans)
+		}
+	}
+}
+
 // TestFollowerLinksLeader: a coalesced request's record names the
 // leader whose solve served it, and the coalescing lands in the event
 // log. The leader is parked on the test gate until the follower has

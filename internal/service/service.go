@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,58 +200,9 @@ type Response struct {
 	PayloadEntries int64 `json:"payload_entries,omitempty"`
 }
 
-// solveFunc adapts one algorithm entry point to the compiled-model form.
-type solveFunc func(c *core.Compiled, opts core.Options, maxNodes int64) (*core.Result, *core.DistributedResult, error)
-
-func central(f func(c *core.Compiled, opts core.Options) (*core.Result, error)) solveFunc {
-	return func(c *core.Compiled, opts core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := f(c, opts)
-		return r, nil, err
-	}
-}
-
-func distributed(f func(c *core.Compiled, opts core.Options) (*core.DistributedResult, error)) solveFunc {
-	return func(c *core.Compiled, opts core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		dr, err := f(c, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dr.Result, dr, nil
-	}
-}
-
-// algorithms is the dispatch registry: every Solve* entry point of the
-// public API by its schedtool/service name.
-var algorithms = map[string]solveFunc{
-	"tree-unit":  central((*core.Compiled).TreeUnit),
-	"line-unit":  central((*core.Compiled).LineUnit),
-	"narrow":     central((*core.Compiled).NarrowOnly),
-	"arbitrary":  central((*core.Compiled).Arbitrary),
-	"sequential": central((*core.Compiled).Sequential),
-	"seq-line":   central((*core.Compiled).SequentialLine),
-	"greedy": func(c *core.Compiled, _ core.Options, _ int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := c.Greedy()
-		return r, nil, err
-	},
-	"exact": func(c *core.Compiled, _ core.Options, maxNodes int64) (*core.Result, *core.DistributedResult, error) {
-		r, err := c.Exact(maxNodes)
-		return r, nil, err
-	},
-	"ps":          central((*core.Compiled).PanconesiSozioUnit),
-	"dist-unit":   distributed((*core.Compiled).DistributedUnit),
-	"dist-narrow": distributed((*core.Compiled).DistributedNarrow),
-	"dist-ps":     distributed((*core.Compiled).DistributedPanconesiSozio),
-}
-
-// Algorithms returns the registered algorithm names, sorted.
-func Algorithms() []string {
-	out := make([]string, 0, len(algorithms))
-	for n := range algorithms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// Algorithms returns the names of core.Algorithms, sorted: the
+// algorithms a Request may name.
+func Algorithms() []string { return core.AlgorithmNames() }
 
 // Engine is the concurrent solve engine. Safe for concurrent use.
 type Engine struct {
@@ -495,27 +444,26 @@ func hashProblem(p *instance.Problem) (string, error) {
 }
 
 // keyOptions normalizes request options for the memoization key so
-// semantically identical requests share one cache entry: the epsilon
-// default is applied; epsilon/seed are dropped for the deterministic
-// single-pass algorithms that ignore them (greedy, exact, sequential,
-// seq-line — keep this list in sync with the registry above);
-// FixedRounds is dropped for centralized algorithms; and the node
-// budget only keys "exact".
+// semantically identical requests share one cache entry: it keeps only
+// the options the algorithm's core.Algorithms row says can change its
+// result — epsilon (defaulted) and seed when Seeded, FixedRounds when
+// Distributed, the node budget when Budgeted.
 func keyOptions(algo string, opts core.Options, maxNodes int64) (core.Options, int64) {
-	if opts.Epsilon == 0 {
-		opts.Epsilon = 0.25
+	a := core.Algorithms[algo]
+	var key core.Options
+	if a.Seeded {
+		key.Epsilon, key.Seed = opts.Epsilon, opts.Seed
+		if key.Epsilon == 0 {
+			key.Epsilon = 0.25
+		}
 	}
-	switch algo {
-	case "greedy", "exact", "sequential", "seq-line":
-		opts = core.Options{}
+	if a.Distributed {
+		key.FixedRounds = opts.FixedRounds
 	}
-	if !strings.HasPrefix(algo, "dist-") {
-		opts.FixedRounds = false
-	}
-	if algo != "exact" {
+	if !a.Budgeted {
 		maxNodes = 0
 	}
-	return opts, maxNodes
+	return key, maxNodes
 }
 
 // resultKey keys the memoization cache on everything that can change a
@@ -644,7 +592,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	}()
 
 	rq.SetPhase(obs.PhaseValidate)
-	if _, ok := algorithms[req.Algo]; !ok {
+	if _, ok := core.Algorithms[req.Algo]; !ok {
 		return nil, fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrBadRequest, req.Algo, Algorithms())
 	}
 	e.met.countAlgo(req.Algo)
@@ -657,11 +605,11 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds}
 	maxNodes := req.MaxNodes
 	if maxNodes <= 0 || maxNodes > e.cfg.MaxExactNodes {
 		maxNodes = e.cfg.MaxExactNodes
 	}
+	opts := core.Options{Epsilon: req.Epsilon, Seed: req.Seed, FixedRounds: req.FixedRounds, MaxNodes: maxNodes}
 
 	rq.SetPhase(obs.PhaseCacheCheck)
 	kOpts, kNodes := keyOptions(req.Algo, opts, maxNodes)
@@ -683,7 +631,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 	// the work.
 	rq.SetPhase(obs.PhaseFlightWait)
 	resp, coalesced, leader, err := e.solveFlight.do(ctx, key, rq.ID(), func() (*Response, error) {
-		return e.execute(ctx, rq, req, hash, key, materialize, opts, maxNodes)
+		return e.execute(ctx, rq, req, hash, key, materialize, opts)
 	})
 	if coalesced {
 		e.met.solvesCoalesced.Add(1)
@@ -705,7 +653,7 @@ func (e *Engine) solve(ctx context.Context, rq *obs.Req, req *Request) (resp *Re
 // tree (when sampling is on) receives the queue/compile/solve/verify
 // timeline, with the solver's phase-level spans nested under "solve"
 // via core.Options.Telemetry.
-func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, key string, materialize func() (*instance.Problem, error), opts core.Options, maxNodes int64) (resp *Response, err error) {
+func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, key string, materialize func() (*instance.Problem, error), opts core.Options) (resp *Response, err error) {
 	// The solve's panic guard must sit inside the flight: a panic that
 	// escaped fn would strand the flight's followers, and the leader's
 	// followers deserve the same converted error the leader returns.
@@ -749,11 +697,11 @@ func (e *Engine) execute(ctx context.Context, rq *obs.Req, req *Request, hash, k
 	}
 
 	rq.SetPhase(obs.PhaseSolve)
-	run := algorithms[req.Algo] // validated by solve before the flight
-	opts.Telemetry = tel        // the solver's phase spans nest under this request's tree
+	run := core.Algorithms[req.Algo].Run // validated by solve before the flight
+	opts.Telemetry = tel                 // the solver's phase spans nest under this request's tree
 	ss := tel.Begin("solve")
 	begin := time.Now()
-	res, dres, err := run(c, opts, maxNodes)
+	res, dres, err := run(c, opts)
 	solveNs := time.Since(begin).Nanoseconds()
 	tel.End(ss)
 	e.met.solveNanos.Add(solveNs)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"treesched/internal/core"
 	"treesched/internal/gen"
 	"treesched/internal/instance"
 	"treesched/internal/scenario"
@@ -117,8 +118,8 @@ func TestCompiledCacheReuse(t *testing.T) {
 	}
 }
 
-// TestEveryAlgorithmDispatches: the registry must cover all 12 public
-// Solve* entry points and each must run on a suitable problem.
+// TestEveryAlgorithmDispatches: Algorithms must list all 12 rows of
+// core.Algorithms and each must run on a suitable problem.
 func TestEveryAlgorithmDispatches(t *testing.T) {
 	want := []string{"arbitrary", "dist-narrow", "dist-ps", "dist-unit", "exact", "greedy",
 		"line-unit", "narrow", "ps", "seq-line", "sequential", "tree-unit"}
@@ -326,5 +327,33 @@ func TestLRU(t *testing.T) {
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
+	}
+}
+
+// TestKeyOptionsFollowAlgorithmFlags: the memo key keeps exactly the
+// options each core.Algorithms row says can change its result, so
+// requests differing only in an ignored option share one cache entry
+// and requests differing in a relevant one never do.
+func TestKeyOptionsFollowAlgorithmFlags(t *testing.T) {
+	opts := core.Options{Epsilon: 0.3, Seed: 7, FixedRounds: true, MaxNodes: 5}
+	for _, algo := range core.AlgorithmNames() {
+		a := core.Algorithms[algo]
+		var want core.Options
+		var wantNodes int64
+		if a.Seeded {
+			want.Epsilon, want.Seed = 0.3, 7
+		}
+		if a.Distributed {
+			want.FixedRounds = true
+		}
+		if a.Budgeted {
+			wantNodes = 5
+		}
+		if got, nodes := keyOptions(algo, opts, 5); got != want || nodes != wantNodes {
+			t.Errorf("%s: keyOptions = %+v, %d; want %+v, %d", algo, got, nodes, want, wantNodes)
+		}
+		if got, _ := keyOptions(algo, core.Options{}, 0); a.Seeded && got.Epsilon != 0.25 {
+			t.Errorf("%s: epsilon default not applied to the key: %+v", algo, got)
+		}
 	}
 }

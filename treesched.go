@@ -12,21 +12,26 @@
 // run in a polylogarithmic number of communication rounds in a synchronous
 // message-passing network of processors.
 //
-// Solvers (centralized drivers; see SolveDistributed* for the goroutine
-// message-passing drivers):
+// Solve runs any algorithm by name (Algorithms lists them):
 //
-//   - SolveTreeUnit: unit heights on tree networks, (7+ε)-approximation
+//   - "tree-unit": unit heights on tree networks, (7+ε)-approximation
 //     (the paper's main result, Theorem 5.3).
-//   - SolveLineUnit: unit heights on lines with windows, (4+ε)
+//   - "line-unit": unit heights on lines with windows, (4+ε)
 //     (Theorem 7.1; improves Panconesi–Sozio's 20+ε by the factor 5).
-//   - SolveNarrow: all heights ≤ 1/2, (2∆²+1)/(1−ε) (Lemma 6.2).
-//   - SolveArbitrary: any heights, (80+ε) on trees / (23+ε) on lines
+//   - "narrow": all heights ≤ 1/2, (2∆²+1)/(1−ε) (Lemma 6.2).
+//   - "arbitrary": any heights, (80+ε) on trees / (23+ε) on lines
 //     (Theorems 6.3, 7.2); handles non-uniform edge capacities.
-//   - SolveSequential: Appendix-A sequential 3-approximation (2 for a
-//     single tree).
-//   - SolveExact: branch-and-bound optimum for small instances.
-//   - SolveGreedy: profit-greedy baseline.
-//   - SolvePanconesiSozio: the single-stage 20+ε baseline on lines.
+//   - "sequential": Appendix-A sequential 3-approximation (2 for a
+//     single tree); "seq-line": the sequential 2-approximation on lines.
+//   - "exact": branch-and-bound optimum for small instances
+//     (Options.MaxNodes caps the search).
+//   - "greedy": profit-greedy baseline.
+//   - "ps": the single-stage 20+ε Panconesi–Sozio baseline on lines.
+//   - "dist-unit", "dist-narrow", "dist-ps": the message-passing
+//     drivers of tree-unit/line-unit, narrow and ps on a synchronous
+//     BSP runtime, reporting rounds, messages, payload entries and
+//     global aggregations; Options.FixedRounds runs the paper's
+//     deterministic schedule (zero aggregations).
 //
 // Every result carries a weak-duality certificate: DualUB ≥ p(Opt), so
 // CertifiedRatio = DualUB/Profit bounds the true approximation ratio of
@@ -44,7 +49,7 @@
 //	        {ID: 1, U: 2, V: 5, Profit: 2, Height: 1, Access: []int{0}},
 //	    },
 //	}
-//	res, err := treesched.SolveTreeUnit(p, treesched.Options{Epsilon: 0.25})
+//	res, _, err := treesched.Solve(p, "tree-unit", treesched.Options{Epsilon: 0.25})
 //
 // To solve one problem many times (different algorithms, seeds or
 // epsilons), compile it once and reuse the compiled form:
@@ -66,6 +71,7 @@
 package treesched
 
 import (
+	"fmt"
 	"math/rand"
 
 	"treesched/internal/core"
@@ -127,66 +133,19 @@ type DistributedResult = core.DistributedResult
 // are byte-identical either way.
 type Options = core.Options
 
-// SolveTreeUnit runs the (7+ε)-approximation for unit-height demands on
-// tree networks (Theorem 5.3).
-func SolveTreeUnit(p *Problem, opts Options) (*Result, error) { return core.TreeUnit(p, opts) }
-
-// SolveLineUnit runs the (4+ε)-approximation for unit-height demands on
-// line networks with windows (Theorem 7.1).
-func SolveLineUnit(p *Problem, opts Options) (*Result, error) { return core.LineUnit(p, opts) }
-
-// SolveNarrow runs the narrow-instance algorithm (Lemma 6.2); every
-// demand's effective height must be ≤ 1/2.
-func SolveNarrow(p *Problem, opts Options) (*Result, error) { return core.NarrowOnly(p, opts) }
-
-// SolveArbitrary runs the combined arbitrary-height algorithm
-// (Theorems 6.3 and 7.2), including non-uniform edge capacities.
-func SolveArbitrary(p *Problem, opts Options) (*Result, error) { return core.Arbitrary(p, opts) }
-
-// SolveSequential runs the Appendix-A sequential algorithm (unit heights,
-// tree networks): 3-approximation, 2 for a single tree.
-func SolveSequential(p *Problem, opts Options) (*Result, error) { return core.Sequential(p, opts) }
-
-// SolveExact computes the optimum by branch and bound (small instances
-// only; the problem is NP-hard). maxNodes caps the search; 0 = default.
-func SolveExact(p *Problem, maxNodes int64) (*Result, error) { return core.Exact(p, maxNodes) }
-
-// SolveGreedy runs the profit-greedy baseline.
-func SolveGreedy(p *Problem) (*Result, error) { return core.Greedy(p) }
-
-// SolvePanconesiSozio runs the single-stage (20+ε) baseline of [15,16] on
-// unit-height line networks.
-func SolvePanconesiSozio(p *Problem, opts Options) (*Result, error) {
-	return core.PanconesiSozioUnit(p, opts)
-}
-
-// SolveSequentialLine runs the classical sequential 2-approximation for
-// unit-height line networks with windows (Bar-Noy et al. / Berman–Dasgupta
-// style, reformulated in the two-phase framework).
-func SolveSequentialLine(p *Problem, opts Options) (*Result, error) {
-	return core.SequentialLine(p, opts)
-}
-
-// SolveDistributedPanconesiSozio is the message-passing driver of the
-// Panconesi–Sozio baseline.
-func SolveDistributedPanconesiSozio(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedPanconesiSozio(p, opts)
-}
-
-// SolveDistributedUnit runs the unit-height algorithm as a real
-// message-passing protocol on a synchronous BSP simulation — one
-// goroutine per processor, communication only between processors sharing
-// a resource — and reports rounds, messages, payload entries and global
-// aggregations. Same selections as the centralized solver for equal
-// seeds; with Options.FixedRounds it runs the paper's deterministic
-// schedule (zero aggregations).
-func SolveDistributedUnit(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedUnit(p, opts)
-}
-
-// SolveDistributedNarrow is the message-passing driver of SolveNarrow.
-func SolveDistributedNarrow(p *Problem, opts Options) (*DistributedResult, error) {
-	return core.DistributedNarrow(p, opts)
+// Solve compiles p and runs the algorithm named algo on it. The
+// DistributedResult is non-nil exactly for the message-passing drivers
+// (dist-*), whose Result it also carries. Algorithms lists the names.
+func Solve(p *Problem, algo string, opts Options) (*Result, *DistributedResult, error) {
+	a, ok := core.Algorithms[algo]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown algorithm %q", algo)
+	}
+	c, err := core.Compile(p, opts.DecompKind)
+	if err != nil {
+		return nil, nil, err
+	}
+	return a.Run(c, opts)
 }
 
 // VerifySolution checks feasibility of a selection against the problem:
@@ -253,8 +212,8 @@ type BatchResult = service.BatchResult
 // NewEngine builds a scheduling service engine.
 func NewEngine(cfg EngineConfig) *Engine { return service.New(cfg) }
 
-// Algorithms lists the service's algorithm registry: every Solve* entry
-// point of this package by name.
+// Algorithms lists the algorithm names Solve and the service accept,
+// sorted.
 func Algorithms() []string { return service.Algorithms() }
 
 // Session is a dynamic scheduling session (internal/online): open it

@@ -22,7 +22,7 @@ func TestQuickstart(t *testing.T) {
 			{ID: 1, U: 2, V: 5, Profit: 2, Height: 1, Access: []int{0}},
 		},
 	}
-	res, err := treesched.SolveTreeUnit(p, treesched.Options{Epsilon: 0.25})
+	res, _, err := treesched.Solve(p, "tree-unit", treesched.Options{Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,39 +51,31 @@ func TestFacadeSolversRun(t *testing.T) {
 		N: 16, Trees: 2, Demands: 10, HMin: 0.1, HMax: 1,
 	}, rng)
 
-	for name, run := range map[string]func() (*treesched.Result, error){
-		"tree-unit":  func() (*treesched.Result, error) { return treesched.SolveTreeUnit(tp, treesched.Options{}) },
-		"line-unit":  func() (*treesched.Result, error) { return treesched.SolveLineUnit(lpb, treesched.Options{}) },
-		"arbitrary":  func() (*treesched.Result, error) { return treesched.SolveArbitrary(mixed, treesched.Options{}) },
-		"sequential": func() (*treesched.Result, error) { return treesched.SolveSequential(tp, treesched.Options{}) },
-		"exact":      func() (*treesched.Result, error) { return treesched.SolveExact(tp, 0) },
-		"greedy":     func() (*treesched.Result, error) { return treesched.SolveGreedy(tp) },
-		"ps":         func() (*treesched.Result, error) { return treesched.SolvePanconesiSozio(lpb, treesched.Options{}) },
+	for _, tc := range []struct {
+		algo string
+		p    *treesched.Problem
+	}{
+		{"tree-unit", tp}, {"line-unit", lpb}, {"arbitrary", mixed}, {"sequential", tp},
+		{"exact", tp}, {"greedy", tp}, {"ps", lpb},
 	} {
-		res, err := run()
+		res, _, err := treesched.Solve(tc.p, tc.algo, treesched.Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.algo, err)
 		}
-		var p *treesched.Problem
-		switch name {
-		case "line-unit", "ps":
-			p = lpb
-		case "arbitrary":
-			p = mixed
-		default:
-			p = tp
-		}
-		if err := treesched.VerifySolution(p, res.Selected); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err := treesched.VerifySolution(tc.p, res.Selected); err != nil {
+			t.Fatalf("%s: %v", tc.algo, err)
 		}
 	}
 
-	d, err := treesched.SolveDistributedUnit(tp, treesched.Options{Seed: 5})
+	_, d, err := treesched.Solve(tp, "dist-unit", treesched.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Net.Rounds == 0 {
 		t.Fatal("distributed run reported zero rounds")
+	}
+	if _, _, err := treesched.Solve(tp, "no-such-algo", treesched.Options{}); err == nil {
+		t.Fatal("Solve accepted an unknown algorithm")
 	}
 }
 
@@ -92,7 +84,7 @@ func TestFacadeLineExtras(t *testing.T) {
 	lpb := treesched.GenerateLineProblem(treesched.LineWorkload{
 		Slots: 24, Resources: 2, Demands: 10, Unit: true, MaxProc: 6,
 	}, rng)
-	seq, err := treesched.SolveSequentialLine(lpb, treesched.Options{})
+	seq, _, err := treesched.Solve(lpb, "seq-line", treesched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +94,7 @@ func TestFacadeLineExtras(t *testing.T) {
 	if seq.Bound != 2 {
 		t.Fatalf("sequential-line bound %g want 2", seq.Bound)
 	}
-	dps, err := treesched.SolveDistributedPanconesiSozio(lpb, treesched.Options{Seed: 3})
+	_, dps, err := treesched.Solve(lpb, "dist-ps", treesched.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +104,21 @@ func TestFacadeLineExtras(t *testing.T) {
 	narrow := treesched.GenerateLineProblem(treesched.LineWorkload{
 		Slots: 24, Resources: 2, Demands: 8, HMin: 0.2, HMax: 0.5, MaxProc: 6,
 	}, rng)
-	dn, err := treesched.SolveDistributedNarrow(narrow, treesched.Options{Seed: 3})
+	_, dn, err := treesched.Solve(narrow, "dist-narrow", treesched.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := treesched.VerifySolution(narrow, dn.Selected); err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := treesched.SolveDistributedUnit(lpb, treesched.Options{Seed: 3, FixedRounds: true})
+	_, fixed, err := treesched.Solve(lpb, "dist-unit", treesched.Options{Seed: 3, FixedRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fixed.Net.Aggregations != 0 {
 		t.Fatal("fixed-rounds run used aggregations")
 	}
-	if _, err := treesched.SolveNarrow(lpb, treesched.Options{}); err == nil {
-		t.Fatal("SolveNarrow accepted unit heights > 1/2")
+	if _, _, err := treesched.Solve(lpb, "narrow", treesched.Options{}); err == nil {
+		t.Fatal("narrow accepted unit heights > 1/2")
 	}
 }
